@@ -28,11 +28,9 @@ from .problem import (
     SlotSpec,
     build_structure,
     decode,
-    objective,
     riskfree_pnl,
     round_magnitude,
     search_space_size,
-    violations,
 )
 from .risk import VarConfig, beta_var, sample_pnl, var_index
 from .swarm import RandomMode, RatsConfig, RatsResult, StopReason, Swarm, run
@@ -43,7 +41,7 @@ __all__ = [
     "UnderlyingSpec", "build_universe", "descriptor_id", "parse_descriptor_id",
     "FeatureLab", "FeatureTable", "InstrumentFeatures", "PortfolioFeatures", "aggregate",
     "ConstraintSpec", "EosStructure", "ProblemInstance", "SlotSpec", "build_structure",
-    "decode", "objective", "riskfree_pnl", "round_magnitude", "search_space_size", "violations",
+    "decode", "riskfree_pnl", "round_magnitude", "search_space_size",
     "VarConfig", "beta_var", "sample_pnl", "var_index",
     "RandomMode", "RatsConfig", "RatsResult", "StopReason", "Swarm", "run",
     "OracleResult", "enumerate_space",

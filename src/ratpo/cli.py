@@ -102,17 +102,30 @@ def load_rats_config(path: Optional[str], seed: Optional[int], threads: Optional
 
 
 def build_problem(data_dir: str, cfg: ProblemConfig) -> ProblemInstance:
+    """Load the four input files of a data directory and assemble their problem."""
     data = Path(data_dir)
-    specs = fileio.load_universe(data / "universe.json")
+    dataset = datagen.Dataset(
+        universe_specs=tuple(fileio.load_universe(data / "universe.json")),
+        market=fileio.load_market(data / "market.json"),
+        scenarios=fileio.load_scenarios(data / "scenarios.csv"),
+        portfolio=fileio.load_portfolio(data / "portfolio.csv"),
+    )
+    return assemble_problem(dataset, cfg)
+
+
+def assemble_problem(dataset: datagen.Dataset, cfg: ProblemConfig) -> ProblemInstance:
+    """The one problem assembly: features, initial book, slot structure and constraints.
+
+    ``dataset`` is anything shaped like :class:`datagen.Dataset`.
+    """
+    specs = list(dataset.universe_specs)
     if cfg.universe_tickers is not None:
         wanted = set(cfg.universe_tickers)
         specs = [s for s in specs if s.ticker in wanted]
         missing = wanted - {s.ticker for s in specs}
         if missing:
             raise ConfigError(f"universe_tickers not in universe.json: {sorted(missing)}")
-    market = fileio.load_market(data / "market.json")
-    scenarios = fileio.load_scenarios(data / "scenarios.csv")
-    portfolio = fileio.load_portfolio(data / "portfolio.csv")
+    market, scenarios, portfolio = dataset.market, dataset.scenarios, dataset.portfolio
 
     universe = build_universe(specs)
     lab = FeatureLab(market, scenarios, specs, day_count=cfg.daycount)
@@ -312,10 +325,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     c_soc_values = grids.get("c_soc", [rcfg.c_soc])
     taus = [float(t) for t in args.tau_g.split(",")] if args.tau_g else [pcfg.tau_delta]
 
-    problems = {}
-    for tau in taus:
-        tau_cfg = dataclasses.replace(pcfg, tau_delta=tau, tau_vega=tau, tau_gamma=tau)
-        problems[tau] = build_problem(args.data_dir, tau_cfg)
+    # Only the constraints depend on tau, so the problem is built once.
+    problem = build_problem(args.data_dir, pcfg)
+    problems = {
+        tau: dataclasses.replace(problem, constraints=dataclasses.replace(
+            problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
+        for tau in taus
+    }
 
     cells = [
         (tau, cp, cs)

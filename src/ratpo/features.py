@@ -112,7 +112,6 @@ class FeatureTable:
         """Column-stack features for the given ids (used by the batch evaluator)."""
         feats = [self[i] for i in ids]
         return {
-            "value": np.array([f.value for f in feats]),
             "pnl": np.stack([f.pnl for f in feats]) if feats else np.zeros((0, self.scenario_count)),
             "delta": np.array([f.delta for f in feats]),
             "vega": np.array([f.vega for f in feats]),

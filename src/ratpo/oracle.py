@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import BatchEvaluator, ProblemInstance, search_space_size
+from .problem import ProblemInstance, search_space_size
 
 #: Positions kept in the optimal set before truncation kicks in.
 MAX_OPTIMAL_SET = 100_000
@@ -50,7 +50,7 @@ class _BlockSummary:
 class Enumerator:
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
-        self.evaluator = BatchEvaluator(problem)
+        self.evaluator = problem.evaluator
         structure = problem.structure
         m = structure.m
         # Digit radices in position order: index ranges first, then grid sizes.
@@ -98,6 +98,8 @@ class Enumerator:
         progress: Optional[Callable[[int, int], None]] = None,
         reverse: bool = False,
     ) -> OracleResult:
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         if self.total > budget:
             raise BudgetExceeded(self.total, budget)
         t0 = time.perf_counter()
@@ -105,15 +107,19 @@ class Enumerator:
         if reverse:
             ranges = ranges[::-1]
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                summaries = list(pool.map(lambda r: self._scan_block(*r, tau_eq), ranges))
-        else:
-            summaries = []
-            for i, r in enumerate(ranges):
-                summaries.append(self._scan_block(*r, tau_eq))
+        def scan(r: tuple[int, int]) -> _BlockSummary:
+            return self._scan_block(*r, tau_eq)
+
+        summaries: list[_BlockSummary] = []
+        done = 0
+        # No worker thread starts before the first submit, so one thread costs nothing here.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = pool.map(scan, ranges) if threads > 1 else map(scan, ranges)
+            for (start, stop), summary in zip(ranges, blocks):
+                summaries.append(summary)
+                done += stop - start
                 if progress is not None:
-                    progress(min(r[1], self.total), self.total)
+                    progress(done, self.total)
 
         # Deterministic reduction in enumeration order.
         summaries.sort(key=lambda s: s.start)

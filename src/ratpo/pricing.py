@@ -39,18 +39,6 @@ class PricingError(ValueError):
     pass
 
 
-def norm_cdf(x: ArrayLike) -> ArrayLike:
-    return ndtr(x)
-
-
-def norm_pdf(x: ArrayLike) -> ArrayLike:
-    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
-
-
-def norm_ppf(p: ArrayLike) -> ArrayLike:
-    return ndtri(p)
-
-
 @dataclass(frozen=True)
 class PricingInputs:
     """Market and contract state for a single valuation.

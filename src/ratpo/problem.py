@@ -1,5 +1,5 @@
-"""Problem assembly: strategy slot structure, position decoding, objective,
-sensitivity constraints and penalty fitness.
+"""Problem assembly: strategy slot structure, position decoding, sensitivity
+constraints and the penalty fitness, evaluated by :class:`BatchEvaluator`.
 
 Candidate strategies live in a 2m-dimensional integer position vector: the
 first m entries pick universe indices (1-based), the second m entries pick
@@ -15,22 +15,18 @@ scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureTable, PortfolioFeatures, aggregate
+from .features import FeatureTable, PortfolioFeatures
 from .instruments import Category, Kind, Portfolio, UeiDescriptor, UnderlyingSpec, descriptor_id
-from .risk import VarConfig, beta_var, sample_pnl, var_index
+from .risk import VarConfig, var_index
 
 
 class StructureError(ValueError):
     pass
-
-
-class DegenerateDenominator(ArithmeticError):
-    """Raised when beta-VaR minus cost is not safely negative."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,9 @@ class EosStructure:
     triplet (two option slots sharing the call+put index range, one linear
     slot over the stock/futures indices); ``underlyings`` counts those
     triplets.  Structures with ``underlyings=0`` may use any slot list, as
-    long as any two slot ranges are either identical or disjoint (this is
-    what makes duplicate-instrument merging well defined).
+    long as any two slot ranges are either identical or disjoint and no
+    range is shared by more than two slots (this is what makes
+    duplicate-instrument merging well defined and pairwise).
     """
 
     underlyings: int
@@ -91,6 +88,8 @@ class EosStructure:
                 disjoint = a.upper < b.lower or b.upper < a.lower
                 if not (same or disjoint):
                     raise StructureError("slot index ranges must be identical or disjoint")
+        if any(len(group) > 2 for group in self.range_groups()):
+            raise StructureError("at most two slots may share one index range")
 
     @property
     def m(self) -> int:
@@ -246,7 +245,7 @@ def decode(x: Sequence[int], structure: EosStructure, universe_ids: Sequence[str
 
 
 # ---------------------------------------------------------------------------
-# Objective, constraints, fitness
+# Constraints and fitness
 # ---------------------------------------------------------------------------
 
 
@@ -283,45 +282,6 @@ class ConstraintSpec:
         return (self.penalty_delta, self.penalty_vega, self.penalty_gamma)
 
 
-def violations(eos: PortfolioFeatures, spec: ConstraintSpec) -> tuple[float, float, float]:
-    """Normalized positive parts of the three sensitivity constraint excesses.
-
-    Each violation is (|sensitivity| - limit)_+ / limit, dimensionless; a
-    zero limit with a nonzero sensitivity yields an infinite violation.
-    """
-    out = []
-    for sens, limit in zip((eos.delta, eos.vega, eos.gamma), spec.limits):
-        if limit > 0.0:
-            out.append(max(abs(sens) - limit, 0.0) / limit)
-        else:
-            out.append(0.0 if sens == 0.0 else math.inf)
-    return tuple(out)
-
-
-def objective(
-    total: PortfolioFeatures,
-    pnl_rf: float,
-    cost_eos: float,
-    var_cfg: VarConfig,
-    epsilon: float = 1e-9,
-) -> float:
-    """Cost-adjusted mean-P&L over beta-VaR ratio of the total portfolio; lower is better."""
-    mean = sample_pnl(total.pnl)
-    var = beta_var(total.pnl, var_cfg)
-    denominator = var - cost_eos
-    if denominator >= -epsilon:
-        raise DegenerateDenominator(f"beta-VaR - cost = {denominator} is not safely negative")
-    return (mean - pnl_rf - cost_eos) / denominator
-
-
-def penalty_term(psi: Sequence[float], penalties: Sequence[float]) -> float:
-    total = 0.0
-    for p, lam in zip(psi, penalties):
-        if lam > 0.0 and p > 0.0:
-            total += lam * p
-    return total
-
-
 def riskfree_pnl(portfolio_value: float, rate: float, day_count: int) -> float:
     """One-day profit from parking the portfolio value at the risk-free rate."""
     if day_count not in (252, 360, 365):
@@ -345,7 +305,11 @@ class EvalBreakdown:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Everything a fitness evaluation needs, immutable for the whole run."""
+    """Everything a fitness evaluation needs, immutable for the whole run.
+
+    ``evaluator`` is built once, at construction, and is the only fitness
+    implementation; ``dataclasses.replace`` builds a fresh one.
+    """
 
     universe_ids: tuple[str, ...]
     structure: EosStructure
@@ -355,6 +319,7 @@ class ProblemInstance:
     var_cfg: VarConfig
     constraints: ConstraintSpec
     epsilon: float = 1e-9
+    evaluator: BatchEvaluator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.init.pnl.shape != (self.var_cfg.count,):
@@ -362,25 +327,23 @@ class ProblemInstance:
         for slot in self.structure.slots:
             if slot.upper > len(self.universe_ids):
                 raise ValueError("structure indices exceed the universe size")
+        object.__setattr__(self, "evaluator", BatchEvaluator(self))
 
     def decode(self, x: Sequence[int]) -> Portfolio:
         return decode(x, self.structure, self.universe_ids)
 
     def evaluate(self, x: Sequence[int]) -> EvalBreakdown:
-        eos = aggregate(self.table, self.decode(x))
-        total = self.init + eos
-        psi = violations(eos, self.constraints)
-        mean = sample_pnl(total.pnl)
-        var = beta_var(total.pnl, self.var_cfg)
-        try:
-            f = objective(total, self.pnl_rf, eos.cost, self.var_cfg, self.epsilon)
-        except DegenerateDenominator:
-            return EvalBreakdown(math.inf, math.inf, mean, var, eos.cost, psi)
-        fitness = f + penalty_term(psi, self.constraints.penalties)
-        return EvalBreakdown(fitness, f, mean, var, eos.cost, psi)
+        """One position's breakdown, evaluated as a batch of one.
 
-    def fitness(self, x: Sequence[int]) -> float:
-        return self.evaluate(x).fitness
+        Raises :class:`StructureError` on a wrong-length or out-of-bounds
+        position, as :func:`decode` does.
+        """
+        self.decode(x)
+        row = self.evaluator.evaluate(np.asarray(x, dtype=np.int64)[None, :])
+        return EvalBreakdown(
+            float(row["fitness"][0]), float(row["objective"][0]), float(row["mean"][0]),
+            float(row["var"][0]), float(row["cost"][0]), tuple(float(v) for v in row["psi"][0]),
+        )
 
     def empty_position(self) -> np.ndarray:
         """A position with every notional grid index at zero (the empty strategy)."""
@@ -394,6 +357,11 @@ class ProblemInstance:
 
 class BatchEvaluator:
     """Vectorized fitness evaluation over many positions at once.
+
+    Per row: objective = (mean P&L - pnl_rf - cost) / (beta-VaR - cost),
+    infinite when the denominator is not below ``-epsilon``; each violation
+    is (|sensitivity| - limit)_+ / limit (infinite for a zero limit with a
+    nonzero sensitivity); fitness = objective + sum of weighted violations.
 
     Results are row-wise deterministic: each position's numbers are computed
     by the same fixed per-slot accumulation order no matter how the batch is
@@ -450,21 +418,20 @@ class BatchEvaluator:
 
         # Cost is the one non-linear feature: duplicate instrument picks must
         # be merged before taking absolute notionals.  Duplicates can only
-        # occur between slots sharing an index range.
+        # occur between slots sharing an index range, and EosStructure
+        # allows at most two slots per range.
         cost = np.zeros(p)
         for group in self._groups:
             if len(group) == 1:
                 j = group[0]
                 cost += self._cost[idx[:, j]] * np.abs(notion[:, j])
-            elif len(group) == 2:
+            else:
                 j1, j2 = group
                 i1, i2 = idx[:, j1], idx[:, j2]
                 n1, n2 = notion[:, j1], notion[:, j2]
                 merged = self._cost[i1] * np.abs(n1 + n2)
                 split = self._cost[i1] * np.abs(n1) + self._cost[i2] * np.abs(n2)
                 cost += np.where(i1 == i2, merged, split)
-            else:
-                cost += self._grouped_cost(idx[:, group], notion[:, group])
 
         mean = total_pnl.mean(axis=1)
         if self._rank == 1:
@@ -492,16 +459,6 @@ class BatchEvaluator:
                 penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
         fitness = f + penalty
         return self._package(fitness, f, mean, var, cost, psi)
-
-    def _grouped_cost(self, gi: np.ndarray, gn: np.ndarray) -> np.ndarray:
-        # Rarely used exact path for 3+ slots sharing one index range.
-        out = np.empty(gi.shape[0])
-        for r in range(gi.shape[0]):
-            nets: dict[int, float] = {}
-            for i, n in zip(gi[r], gn[r]):
-                nets[int(i)] = nets.get(int(i), 0.0) + float(n)
-            out[r] = sum(self._cost[i] * abs(n) for i, n in nets.items())
-        return out
 
     def _package(self, fitness, f, mean, var, cost, psi) -> dict[str, np.ndarray]:
         return {

@@ -12,7 +12,8 @@ Standard swarm recursion with three departures that matter here:
   for every particle like textbook PSO.
 
 Fitness evaluation is pure and vectorized; worker threads only split the
-particle block, so results are bit-identical for any thread count.
+particle block, so results are bit-identical for any thread count.  The
+thread pool lives only for the duration of :meth:`Swarm.run`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .instruments import Portfolio
-from .problem import BatchEvaluator, EvalBreakdown, ProblemInstance
+from .problem import EvalBreakdown, ProblemInstance
 
 
 class StopReason(str, Enum):
@@ -64,7 +65,6 @@ class RatsConfig:
     random_mode: RandomMode = RandomMode.SHARED
     threads: int = 1
     inject_zero_strategy: bool = True
-    concentration_by_fitness: bool = False
 
     def __post_init__(self) -> None:
         if self.particles < 1:
@@ -119,12 +119,13 @@ class Swarm:
     def __init__(self, cfg: RatsConfig, problem: ProblemInstance):
         self.cfg = cfg
         self.problem = problem
-        self.evaluator = BatchEvaluator(problem)
+        self.evaluator = problem.evaluator
         self.lower, self.upper = problem.structure.position_bounds()
         self.dim = 2 * problem.structure.m
         self.rng = np.random.default_rng(cfg.seed)
         self.evaluations = 0
-        self._pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+        # Set only inside run(); a swarm stepped by hand evaluates serially.
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- evaluation -----------------------------------------------------------
 
@@ -164,9 +165,6 @@ class Swarm:
         return state
 
     def _concentration(self, global_best: np.ndarray) -> float:
-        if self.cfg.concentration_by_fitness:
-            best = self.best_fitness.min()
-            return float(np.mean(self.best_fitness == best))
         return float(np.mean(np.all(self.best_positions == global_best[None, :], axis=1)))
 
     # -- one iteration --------------------------------------------------------
@@ -212,24 +210,26 @@ class Swarm:
     def run(self) -> RatsResult:
         cfg = self.cfg
         t0 = time.perf_counter()
-        state = self.initialize()
-        init_seconds = time.perf_counter() - t0
-        state.trajectory.append((0, state.best_fitness, state.concentration, state.stall, init_seconds))
-
-        try:
-            while (
-                state.iteration < cfg.k_max
-                and state.stall < cfg.k_max_stall
-                and state.concentration < cfg.tau_p
-            ):
-                self.step(state)
-                state.trajectory.append((
-                    state.iteration, state.best_fitness, state.concentration,
-                    state.stall, time.perf_counter() - t0,
-                ))
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
+        # No worker thread starts before the first submit, so one thread costs nothing here.
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            self._pool = pool if cfg.threads > 1 else None
+            try:
+                state = self.initialize()
+                init_seconds = time.perf_counter() - t0
+                state.trajectory.append((0, state.best_fitness, state.concentration, state.stall,
+                                         init_seconds))
+                while (
+                    state.iteration < cfg.k_max
+                    and state.stall < cfg.k_max_stall
+                    and state.concentration < cfg.tau_p
+                ):
+                    self.step(state)
+                    state.trajectory.append((
+                        state.iteration, state.best_fitness, state.concentration,
+                        state.stall, time.perf_counter() - t0,
+                    ))
+            finally:
+                self._pool = None
 
         if state.iteration >= cfg.k_max:
             state.stop_reason = StopReason.MAX_ITER

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 
 from ratpo import build_universe
+from ratpo.cli import ProblemConfig, assemble_problem
 from ratpo.datagen import DEFAULT_UNDERLYINGS, gen_dataset
-from ratpo.features import FeatureLab, FeatureTable, InstrumentFeatures, PortfolioFeatures, aggregate
+from ratpo.features import FeatureLab, FeatureTable, InstrumentFeatures, PortfolioFeatures
 from ratpo.instruments import Category, CurrencyMarket, MarketData, ScenarioSet, UnderlyingMarket, UnderlyingSpec
-from ratpo.problem import (
-    ConstraintSpec,
-    EosStructure,
-    ProblemInstance,
-    SlotSpec,
-    build_structure,
-    riskfree_pnl,
-)
+from ratpo.problem import ConstraintSpec, EosStructure, ProblemInstance, SlotSpec
 from ratpo.risk import VarConfig
 
 VOL_SPREADS = {0.10: 0.006, 0.25: 0.005, 0.50: 0.004}
@@ -117,26 +111,10 @@ def simple_lab() -> FeatureLab:
 REDUCED_SEED = 7
 
 
-def build_problem_from_dataset(dataset, tau: float, grid_points: int, derive_bounds: bool = True,
-                               beta: float = 0.01, decay: float = 0.99) -> ProblemInstance:
-    specs = dataset.universe_specs
-    universe = build_universe(specs)
-    lab = FeatureLab(dataset.market, dataset.scenarios, specs)
-    table = lab.build_run_table(universe, dataset.portfolio)
-    init = aggregate(table, dataset.portfolio)
-    pnl_rf = riskfree_pnl(init.value, dataset.market.currencies["EUR"].rate, 360)
-    structure = build_structure(specs, universe, grid_points=grid_points,
-                                table=table, base=init, derive_bounds=derive_bounds)
-    constraints = ConstraintSpec(tau, tau, tau, init.delta, init.vega, init.gamma)
-    return ProblemInstance(
-        universe_ids=tuple(d.id for d in universe),
-        structure=structure,
-        table=table,
-        init=init,
-        pnl_rf=pnl_rf,
-        var_cfg=VarConfig(beta, decay, dataset.scenarios.count),
-        constraints=constraints,
-    )
+def build_problem_from_dataset(dataset, tau: float, grid_points: int) -> ProblemInstance:
+    """The CLI's problem assembly on an in-memory dataset, with default config otherwise."""
+    cfg = ProblemConfig(tau_delta=tau, tau_vega=tau, tau_gamma=tau, grid_points=grid_points)
+    return assemble_problem(dataset, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ lines.  The suite is self-contained: synthetic inputs are generated from
 fixed seeds, brute-force optima are computed on the spot.
 """
 
+import dataclasses
 import math
 import time
 
@@ -168,8 +169,11 @@ def test_criterion_7_oracle_equivalence(reduced_dataset_acc):
     pairs = (0.5, 1.0, 1.5)
     thresholds = {0.1: 5, 0.5: 8, 1.0: 8}
     summary = []
+    base = build_problem_from_dataset(reduced_dataset_acc, tau=0.5, grid_points=9)
     for tau in (0.1, 0.5, 1.0):
-        problem = build_problem_from_dataset(reduced_dataset_acc, tau=tau, grid_points=9)
+        # Only the constraints depend on tau, as in ``ratpo sweep``.
+        problem = dataclasses.replace(base, constraints=dataclasses.replace(
+            base.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
         assert search_space_size(problem.structure) <= 10**6
         oracle = enumerate_space(problem, budget=10**6)
         for pair in pairs:

@@ -1,0 +1,54 @@
+"""The benchmark under bench/ wraps ratpo callables by name from outside the
+program.  A callable renamed or removed here must fail this test, not the
+benchmark run.  The test imports bench/ without writing to it."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import make_toy_problem
+
+from ratpo import cli
+from ratpo.oracle import enumerate_space
+from ratpo.problem import BatchEvaluator
+from ratpo.swarm import RatsConfig, Swarm
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracer
+    import workloads  # noqa: F401 - its ratpo imports must resolve
+
+    return layers, tracer
+
+
+def test_layers_wrap_current_ratpo(bench):
+    layers, tracer = bench
+    original_build, original_evaluate = cli.build_problem, BatchEvaluator.evaluate
+    t = tracer.Tracer()
+    layers.register(t)
+    t.install()
+    try:
+        assert cli.build_problem is not original_build
+        assert BatchEvaluator.evaluate is not original_evaluate
+        problem = make_toy_problem()
+        Swarm(RatsConfig(particles=20, k_max=2, k_max_stall=10, seed=1, threads=2), problem).run()
+        enumerate_space(problem, budget=1000, block_size=100)
+    finally:
+        t.uninstall()
+    assert cli.build_problem is original_build
+    assert BatchEvaluator.evaluate is original_evaluate
+
+    names = {s.name for s in t.spans}
+    assert {"problem.evaluator_init", "problem.evaluate", "problem.scalar_evaluate",
+            "swarm.run", "swarm.initialize", "swarm.step",
+            "oracle.enumerate", "oracle.positions_for"} <= names
+    metrics = layers.layer_metrics(t.spans, reps=1)
+    assert metrics["swarm.iterations"] == 2
+    assert metrics["oracle.positions"] == 300

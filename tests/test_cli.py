@@ -119,6 +119,7 @@ class TestOptimize:
         assert len(rows) == result["iterations"] + 1
         fits = [float(r["best_fitness"]) for r in rows]
         assert all(b <= a for a, b in zip(fits, fits[1:]))
+        assert result["fitness"] == fits[-1]
 
         with open(out / "pnl_hist.csv") as fh:
             hist = list(csv.DictReader(fh))

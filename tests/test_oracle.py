@@ -26,7 +26,7 @@ class TestEnumeration:
         manual = []
         for idx in (1, 2):
             for g in range(3):
-                manual.append(problem.fitness([idx, g]))
+                manual.append(problem.evaluate([idx, g]).fitness)
         feasible_min = min(manual)
         assert result.optimal_fitness == pytest.approx(feasible_min, rel=1e-12)
         assert result.status == "optimal"
@@ -49,6 +49,10 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             enumerate_space(toy_problem, budget=10)
 
+    def test_rejects_non_positive_threads(self, toy_problem):
+        with pytest.raises(ValueError, match="threads"):
+            enumerate_space(toy_problem, budget=1000, threads=0)
+
     def test_reverse_order_gives_same_optimum(self, toy_problem):
         fwd = enumerate_space(toy_problem, budget=1000, block_size=37)
         rev = enumerate_space(toy_problem, budget=1000, block_size=37, reverse=True)
@@ -64,7 +68,7 @@ class TestEnumeration:
 
     def test_optimal_set_contains_exact_ties(self, toy_problem):
         result = enumerate_space(toy_problem, budget=1000)
-        fits = [toy_problem.fitness(p) for p in result.optimal_positions]
+        fits = [toy_problem.evaluate(p).fitness for p in result.optimal_positions]
         assert max(fits) - min(fits) <= 1e-12
 
     def test_block_size_does_not_change_result(self, toy_problem):
@@ -80,7 +84,8 @@ class TestEnumeration:
         assert result.fitness >= oracle.optimal_fitness - 1e-9
 
     def test_progress_callback_invoked(self, toy_problem):
-        calls = []
-        enumerate_space(toy_problem, budget=1000, block_size=64,
-                        progress=lambda done, total: calls.append((done, total)))
-        assert calls and calls[-1][0] == calls[-1][1] == 300
+        for threads in (1, 2):
+            calls = []
+            enumerate_space(toy_problem, budget=1000, block_size=64, threads=threads,
+                            progress=lambda done, total: calls.append((done, total)))
+            assert calls == [(done, 300) for done in (64, 128, 192, 256, 300)]

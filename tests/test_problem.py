@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_toy_problem
+from reference import DegenerateDenominator, objective, penalty_term, violations
 
 from ratpo.datagen import DEFAULT_UNDERLYINGS
 from ratpo.features import PortfolioFeatures, aggregate
@@ -11,19 +13,15 @@ from ratpo.instruments import Portfolio, build_universe
 from ratpo.problem import (
     BatchEvaluator,
     ConstraintSpec,
-    DegenerateDenominator,
     EosStructure,
     SlotSpec,
     StructureError,
     build_structure,
     decode,
     notional_grid,
-    objective,
-    penalty_term,
     riskfree_pnl,
     round_magnitude,
     search_space_size,
-    violations,
 )
 from ratpo.risk import VarConfig
 
@@ -158,6 +156,11 @@ class TestStructureValidation:
         with pytest.raises(StructureError, match="identical or disjoint"):
             EosStructure(0, (SlotSpec(1, 3, grid), SlotSpec(2, 5, grid)))
 
+    def test_three_slots_on_one_range_rejected(self):
+        grid = (-1, 0, 1)
+        with pytest.raises(StructureError, match="at most two slots"):
+            EosStructure(0, (SlotSpec(1, 3, grid), SlotSpec(1, 3, grid), SlotSpec(1, 3, grid)))
+
     def test_grid_must_contain_zero(self):
         with pytest.raises(StructureError):
             SlotSpec(1, 2, (1, 2, 3))
@@ -208,10 +211,13 @@ class TestDecode:
         }
 
     def test_out_of_range_entries_rejected(self, toy_problem):
-        with pytest.raises(StructureError):
-            toy_problem.decode([0, 1, 3, 2, 2, 1])
-        with pytest.raises(StructureError):
-            toy_problem.decode([1, 1, 3, 5, 2, 1])
+        for method in (toy_problem.decode, toy_problem.evaluate):
+            with pytest.raises(StructureError):
+                method([0, 1, 3, 2, 2, 1])
+            with pytest.raises(StructureError):
+                method([1, 1, 3, 5, 2, 1])
+            with pytest.raises(StructureError):
+                method([1, 1, 3, 2, 2])
 
 
 class TestObjective:
@@ -332,8 +338,8 @@ class TestFitness:
         assert penalty_term((math.inf, 0.0, 0.0), (0.0, 10.0, 10.0)) == 0.0
 
     def test_zero_notional_leg_leaves_fitness_unchanged(self, toy_problem):
-        a = toy_problem.fitness([1, 2, 3, 2, 2, 1])
-        b = toy_problem.fitness([2, 2, 3, 2, 2, 1])  # differs only where notional is 0
+        a = toy_problem.evaluate([1, 2, 3, 2, 2, 1]).fitness
+        b = toy_problem.evaluate([2, 2, 3, 2, 2, 1]).fitness  # differs only where notional is 0
         assert a == b
 
     def test_doubling_notionals_doubles_sensitivities_and_cost(self, toy_problem):
@@ -354,7 +360,7 @@ class TestBatchEvaluator:
         X = rng.integers(lo, hi + 1, size=(200, 6), dtype=np.int64)
         res = ev.evaluate(X)
         for r in range(200):
-            scalar = toy_problem.evaluate(X[r])
+            scalar = reference.evaluate(toy_problem, X[r])
             assert res["fitness"][r] == pytest.approx(scalar.fitness, rel=1e-12, abs=1e-12)
             assert res["cost"][r] == pytest.approx(scalar.cost, rel=1e-12, abs=1e-12)
             assert res["var"][r] == scalar.var
@@ -367,7 +373,7 @@ class TestBatchEvaluator:
         X = rng.integers(lo, hi + 1, size=(50, 2 * reduced_problem.structure.m), dtype=np.int64)
         res = ev.evaluate(X)
         for r in range(50):
-            scalar = reduced_problem.evaluate(X[r])
+            scalar = reference.evaluate(reduced_problem, X[r])
             if math.isinf(scalar.fitness):
                 assert math.isinf(res["fitness"][r])
             else:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -239,6 +240,26 @@ class TestRun:
         a, b = run(cfg, problem), run(cfg, problem)
         assert a.fitness == b.fitness
         assert np.array_equal(a.position, b.position)
+
+    def test_final_breakdown_equals_last_trajectory_value(self, reduced_problem):
+        # One fitness path: the final breakdown re-evaluates the incumbent with
+        # the evaluator that scored it during the run.
+        for seed in range(10):
+            result = run(RatsConfig(particles=30, seed=seed), reduced_problem)
+            assert result.fitness == result.trajectory[-1][1]
+
+    def test_run_twice_with_threads(self):
+        swarm = Swarm(RatsConfig(particles=50, k_max=5, seed=41, threads=2), make_toy_problem())
+        first = swarm.run()
+        second = swarm.run()
+        assert first.iterations == second.iterations == 5
+
+    def test_stepping_without_run_starts_no_threads(self):
+        before = threading.active_count()
+        swarm = Swarm(RatsConfig(particles=50, seed=41, threads=2), make_toy_problem())
+        state = swarm.initialize()
+        swarm.step(state)
+        assert threading.active_count() <= before
 
     def test_breakdown_matches_reported_identity(self, reduced_problem):
         result = run(RatsConfig(particles=200, k_max=20, seed=31), reduced_problem)
