@@ -273,14 +273,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["solution", "fitness", "count", "status", "instrument_id", "notional"])
+    writer.writerow(["solution", "fitness", "count", "status", "truncated", "instrument_id", "notional"])
     for rank, position in enumerate(result.optimal_positions):
         strategy = problem.decode(position)
-        if not strategy.legs:
-            writer.writerow([rank, repr(result.optimal_fitness), result.count, result.status, "", 0])
-        for instrument_id, notional in strategy.legs:
-            writer.writerow([rank, repr(result.optimal_fitness), result.count, result.status,
-                             instrument_id, notional])
+        head = [rank, repr(result.optimal_fitness), result.count, result.status, int(result.truncated)]
+        for instrument_id, notional in strategy.legs or [("", 0)]:
+            writer.writerow(head + [instrument_id, notional])
     (out / "oracle.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
     print(f"oracle: optimum {result.optimal_fitness:.6f} over {result.count} positions "
           f"({len(result.optimal_positions)} optimal, {result.wall_seconds:.2f}s)")

@@ -208,8 +208,7 @@ class FeatureLab:
         vol = self._vol_for(ticker, strike_pct, tenor_days)
         base = PricingInputs(
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
-            strike=strike_abs, kind=kind,
-            exercise=pricing.Exercise(exercise.name.lower()),
+            strike=strike_abs, kind=kind, exercise=exercise,
         ).pinned()
 
         v0 = pricing.price(base)
@@ -226,22 +225,7 @@ class FeatureLab:
         vols = np.maximum(base.vol + self.scenarios.vol_shifts[:, col], VOL_FLOOR)
         rates = base.rate + self.scenarios.rate_shifts[:, ccy_col]
 
-        if base.kind is Kind.STOCK:
-            return spots - v0
-        if base.kind is Kind.FUTURES:
-            fwd = pricing.forward(spots, base.tenor_years, rates, base.div_yield)
-            return (fwd - base.ref_forward) - v0
-        if base.exercise is pricing.Exercise.AMERICAN:
-            values = np.array([
-                pricing.barone_adesi_whaley(
-                    s, base.strike, base.tenor_years, r, base.div_yield, v, base.kind is Kind.CALL)
-                for s, v, r in zip(spots, vols, rates)
-            ])
-            return values - v0
-        values = pricing.black_scholes(
-            spots, base.strike, base.tenor_years, rates, base.div_yield, vols, base.kind is Kind.CALL,
-        )
-        return values - v0
+        return pricing.price_at(base, spots, vols, rates) - v0
 
     def _unit_cost(
         self, u, kind: Kind, delta: float, vega: float, strike_pct: Optional[float],

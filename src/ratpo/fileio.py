@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +48,24 @@ def _write_text(path: PathLike, text: str) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _number(value) -> float:
+    """``float(value)``, rejecting NaN and infinities (JSON and CSV both spell them)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
+def _bound(value) -> Optional[int]:
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"notional bound must be an integer, got {value!r}")
+
+
+def _spreads(entry: Mapping) -> dict[float, float]:
+    return {_number(k): _number(v) for k, v in entry.get("vol_spread_by_strike", {}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +103,11 @@ def load_universe(path: PathLike) -> list[UnderlyingSpec]:
                 ticker=entry["ticker"],
                 category=Category(entry["category"]),
                 tenor_domain=tuple(int(t) for t in entry["tenor_domain"]),
-                option_notional_bound=entry.get("option_notional_bound"),
-                linear_notional_bound=entry.get("linear_notional_bound"),
-                spot_spread=float(entry.get("spot_spread", 0.0)),
-                futures_spread=float(entry.get("futures_spread", 0.0)),
-                vol_spread_by_strike={float(k): float(v) for k, v in entry.get("vol_spread_by_strike", {}).items()},
+                option_notional_bound=_bound(entry.get("option_notional_bound")),
+                linear_notional_bound=_bound(entry.get("linear_notional_bound")),
+                spot_spread=_number(entry.get("spot_spread", 0.0)),
+                futures_spread=_number(entry.get("futures_spread", 0.0)),
+                vol_spread_by_strike=_spreads(entry),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(path, f"entry {i}: {exc}") from exc
@@ -132,7 +151,7 @@ def load_market(path: PathLike) -> MarketData:
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
     try:
         currencies = {
-            ccy: CurrencyMarket(rate=float(entry["rate"]), fx_eur=float(entry.get("fx_eur", 1.0)))
+            ccy: CurrencyMarket(rate=_number(entry["rate"]), fx_eur=_number(entry.get("fx_eur", 1.0)))
             for ccy, entry in raw["currencies"].items()
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -148,20 +167,20 @@ def load_market(path: PathLike) -> MarketData:
             vol = entry["vol"]
             if isinstance(vol, Mapping):
                 vol = {
-                    (float(strike), int(tenor)): float(v)
+                    (_number(strike), int(tenor)): _number(v)
                     for strike, by_tenor in vol.items()
                     for tenor, v in by_tenor.items()
                 }
             else:
-                vol = float(vol)
+                vol = _number(vol)
             underlyings[ticker] = UnderlyingMarket(
-                spot=float(entry["spot"]) * fx,
+                spot=_number(entry["spot"]) * fx,
                 vol=vol,
-                div_yield=float(entry.get("div_yield", 0.0)),
+                div_yield=_number(entry.get("div_yield", 0.0)),
                 currency=ccy,
-                spot_spread=float(entry.get("spot_spread", 0.0)),
-                futures_spread=float(entry.get("futures_spread", 0.0)) * fx,
-                vol_spread_by_strike={float(k): float(v) for k, v in entry.get("vol_spread_by_strike", {}).items()},
+                spot_spread=_number(entry.get("spot_spread", 0.0)),
+                futures_spread=_number(entry.get("futures_spread", 0.0)) * fx,
+                vol_spread_by_strike=_spreads(entry),
             )
         except SchemaError:
             raise
@@ -251,7 +270,7 @@ def load_scenarios(path: PathLike) -> ScenarioSet:
             if len(row) != len(header):
                 raise SchemaError(path, f"line {line_no}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                rows.append([_number(v) for v in row])
             except ValueError as exc:
                 raise SchemaError(path, f"line {line_no}: {exc}") from exc
     if not rows:

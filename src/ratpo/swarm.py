@@ -210,6 +210,7 @@ class Swarm:
     def run(self) -> RatsResult:
         cfg = self.cfg
         t0 = time.perf_counter()
+        self.evaluations = 0
         # No worker thread starts before the first submit, so one thread costs nothing here.
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             self._pool = pool if cfg.threads > 1 else None

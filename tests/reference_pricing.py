@@ -1,0 +1,142 @@
+"""Independent scalar reference for ``ratpo.pricing.barone_adesi_whaley``.
+
+A scalar Barone-Adesi & Whaley (1987) pricer: separate call and put
+routines, a Python loop for the Newton iteration and a private Black-Scholes
+built on ``math.erfc``.  It shares no arithmetic with the broadcasting pricer
+except the European price at the input state, which comes from
+``ratpo.pricing.black_scholes``.  Tests compare the two element by element.
+"""
+
+from __future__ import annotations
+
+import math
+
+from ratpo.pricing import black_scholes
+
+_BAW_MAX_ITER = 100
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def _pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def _bs_scalar(spot: float, strike: float, tau: float, rate: float, div_yield: float,
+               vol: float, sign: float) -> float:
+    # Scalar fast path used inside the early-exercise Newton iteration.
+    sig_sqrt = vol * math.sqrt(tau)
+    d1 = (math.log(spot / strike) + (rate - div_yield + 0.5 * vol * vol) * tau) / sig_sqrt
+    d2 = d1 - sig_sqrt
+    return sign * (
+        spot * math.exp(-div_yield * tau) * _cdf(sign * d1)
+        - strike * math.exp(-rate * tau) * _cdf(sign * d2)
+    )
+
+
+def _baw_call(spot: float, strike: float, tau: float, rate: float, carry: float, vol: float) -> float:
+    european = black_scholes(spot, strike, tau, rate, rate - carry, vol, True)
+    # No dividend-type income: early exercise is never optimal.
+    if carry >= rate:
+        return european
+    vol2 = vol * vol
+    mh = _m_over_h(rate, vol2, tau)
+    n = 2.0 * carry / vol2
+    q2 = 0.5 * (-(n - 1.0) + math.sqrt((n - 1.0) ** 2 + 4.0 * mh))
+    if not math.isfinite(q2) or q2 <= 1.0:
+        return max(european, spot - strike)
+
+    s_inf = strike / (1.0 - 1.0 / q2)
+    h2 = -(carry * tau + 2.0 * vol * math.sqrt(tau)) * strike / (s_inf - strike)
+    s_star = strike + (s_inf - strike) * (1.0 - math.exp(h2))
+    tol = 1e-10 * strike
+    sig_sqrt = vol * math.sqrt(tau)
+    disc = math.exp((carry - rate) * tau)
+    # Newton on the smooth-pasting condition for the exercise boundary.
+    for _ in range(_BAW_MAX_ITER):
+        d1 = (math.log(s_star / strike) + (carry + 0.5 * vol2) * tau) / sig_sqrt
+        nd1 = _cdf(d1)
+        ec = _bs_scalar(s_star, strike, tau, rate, rate - carry, vol, 1.0)
+        f = (s_star - strike) - ec - (1.0 - disc * nd1) * s_star / q2
+        if abs(f) < tol:
+            break
+        fp = 1.0 - disc * nd1 - (1.0 - disc * nd1) / q2 + disc * _pdf(d1) / (q2 * sig_sqrt)
+        if fp == 0.0 or not math.isfinite(fp):
+            break
+        s_star -= f / fp
+        if not math.isfinite(s_star) or s_star <= strike:
+            s_star = strike * (1.0 + 1e-9)
+    d1 = (math.log(s_star / strike) + (carry + 0.5 * vol2) * tau) / sig_sqrt
+    a2 = (s_star / q2) * (1.0 - disc * _cdf(d1))
+    if spot >= s_star:
+        return spot - strike
+    return max(european + a2 * (spot / s_star) ** q2, european, spot - strike)
+
+
+def _baw_put(spot: float, strike: float, tau: float, rate: float, carry: float, vol: float) -> float:
+    european = black_scholes(spot, strike, tau, rate, rate - carry, vol, False)
+    # Without positive interest on the strike, waiting dominates.
+    if rate <= 0.0:
+        return max(european, strike - spot)
+    vol2 = vol * vol
+    mh = _m_over_h(rate, vol2, tau)
+    n = 2.0 * carry / vol2
+    q1 = 0.5 * (-(n - 1.0) - math.sqrt((n - 1.0) ** 2 + 4.0 * mh))
+    if not math.isfinite(q1) or q1 >= 0.0:
+        return max(european, strike - spot)
+
+    s_inf = strike / (1.0 - 1.0 / q1)
+    h1 = (carry * tau - 2.0 * vol * math.sqrt(tau)) * strike / (strike - s_inf)
+    s_star = s_inf + (strike - s_inf) * math.exp(h1)
+    tol = 1e-10 * strike
+    sig_sqrt = vol * math.sqrt(tau)
+    disc = math.exp((carry - rate) * tau)
+    for _ in range(_BAW_MAX_ITER):
+        d1 = (math.log(s_star / strike) + (carry + 0.5 * vol2) * tau) / sig_sqrt
+        nmd1 = _cdf(-d1)
+        ep = _bs_scalar(s_star, strike, tau, rate, rate - carry, vol, -1.0)
+        f = (strike - s_star) - ep + (1.0 - disc * nmd1) * s_star / q1
+        if abs(f) < tol:
+            break
+        fp = -1.0 + disc * nmd1 + ((1.0 - disc * nmd1) + disc * _pdf(d1) / sig_sqrt) / q1
+        if fp == 0.0 or not math.isfinite(fp):
+            break
+        s_star -= f / fp
+        if not math.isfinite(s_star) or s_star >= strike or s_star <= 0.0:
+            s_star = strike * (1.0 - 1e-9)
+    d1 = (math.log(s_star / strike) + (carry + 0.5 * vol2) * tau) / sig_sqrt
+    a1 = -(s_star / q1) * (1.0 - disc * _cdf(-d1))
+    if spot <= s_star:
+        return strike - spot
+    return max(european + a1 * (spot / s_star) ** q1, european, strike - spot)
+
+
+def _m_over_h(rate: float, vol2: float, tau: float) -> float:
+    # M/h = (2r/sigma^2) / (1 - e^{-r tau}); take the r -> 0 limit explicitly.
+    if abs(rate) < 1e-12:
+        return 2.0 / (vol2 * tau)
+    return 2.0 * rate / (vol2 * (1.0 - math.exp(-rate * tau)))
+
+
+def barone_adesi_whaley(
+    spot: float,
+    strike: float,
+    tenor_years: float,
+    rate: float,
+    div_yield: float,
+    vol: float,
+    is_call: bool,
+) -> float:
+    """American vanilla price via the quadratic early-exercise approximation."""
+    if tenor_years <= 0:
+        return max((spot - strike) if is_call else (strike - spot), 0.0)
+    carry = rate - div_yield
+    if is_call:
+        return _baw_call(spot, strike, tenor_years, rate, carry, vol)
+    return _baw_put(spot, strike, tenor_years, rate, carry, vol)
+
+

@@ -163,6 +163,20 @@ class TestOptimize:
                      "--rats", rats, "--out", str(tmp_path / "run")])
         assert code == 2
 
+    def test_non_finite_input_exit_2_names_file(self, data_dir, configs, tmp_path, capsys):
+        problem, rats = configs
+        data = tmp_path / "nan_spot"
+        data.mkdir()
+        for name in ("universe.json", "scenarios.csv", "portfolio.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        market = json.loads((data_dir / "market.json").read_text())
+        next(iter(market["underlyings"].values()))["spot"] = float("nan")
+        (data / "market.json").write_text(json.dumps(market))
+        code = main(["optimize", "--data-dir", str(data), "--problem", problem,
+                     "--rats", rats, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert str(data / "market.json") in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, data_dir, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"not_a_key": 1})
         code = main(["optimize", "--data-dir", str(data_dir), "--problem", bad,
@@ -200,7 +214,20 @@ class TestOracleCmd:
         assert rows
         # 12 calls+puts and 6 futures on two tenors, 3-point grids
         assert all(int(r["count"]) == (12 * 3) ** 2 * (6 * 3) for r in rows)
-        assert all(r["status"] == "optimal" for r in rows)
+        assert all(r["status"] == "optimal" and r["truncated"] == "0" for r in rows)
+
+    def test_truncated_optimal_set_marked_in_csv(self, data_dir, tmp_path, monkeypatch):
+        from ratpo import oracle
+
+        monkeypatch.setattr(oracle, "MAX_OPTIMAL_SET", 2)
+        problem = write_json(tmp_path / "p.json", {"tau_g": 0.5, "grid_points": 3})
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--data-dir", str(data_dir), "--problem", problem,
+                     "--budget", "100000", "--out", str(out)]) == 0
+        with open(out / "oracle.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["solution"] for r in rows} == {"0", "1"}
+        assert all(r["truncated"] == "1" for r in rows)
 
 
 class TestSweep:

@@ -177,8 +177,7 @@ class TestAggregationOracle:
             ccy = scenarios.currency_column(u.currency)
             base = pricing.PricingInputs(
                 spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
-                strike=strike_abs, kind=kind,
-                exercise=pricing.Exercise(exercise.name.lower()),
+                strike=strike_abs, kind=kind, exercise=exercise,
             ).pinned()
             v0 = pricing.price(base)
             for i in range(scenarios.count):

@@ -48,6 +48,24 @@ class TestUniverseFile:
         with pytest.raises(SchemaError, match="entry 0"):
             load_universe(path)
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("spot_spread",), float("inf"), "non-finite"),
+        (("vol_spread_by_strike", "0.50"), float("nan"), "non-finite"),
+        (("option_notional_bound",), float("nan"), "notional bound must be an integer"),
+        (("linear_notional_bound",), 2.5, "notional bound must be an integer"),
+    ])
+    def test_bad_number_rejected(self, tmp_path, keys, value, message):
+        path = tmp_path / "universe.json"
+        save_universe(DEFAULT_UNDERLYINGS, path)
+        payload = json.loads(path.read_text())
+        node = payload[1]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=rf"universe\.json: entry 1: {message}"):
+            load_universe(path)
+
 
 class TestMarketFile:
     def test_round_trip_byte_identical_canonical_form(self, tmp_path):
@@ -92,6 +110,28 @@ class TestMarketFile:
         assert loaded.underlying("ACME").vol_for(0.50, 49) == 0.21
         save_market(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("keys", [
+        ("underlyings", "A", "spot"), ("underlyings", "A", "vol"), ("underlyings", "A", "div_yield"),
+        ("underlyings", "A", "spot_spread"), ("underlyings", "A", "futures_spread"),
+        ("underlyings", "A", "vol_spread_by_strike", "0.50"), ("underlyings", "B", "vol", "0.50", "021"),
+        ("currencies", "EUR", "rate"), ("currencies", "EUR", "fx_eur"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, keys):
+        leg = {"spot": 100.0, "vol": 0.2, "div_yield": 0.0, "currency": "EUR", "spot_spread": 0.001,
+               "futures_spread": 2.0, "vol_spread_by_strike": {"0.50": 0.004}}
+        payload = {
+            "currencies": {"EUR": {"rate": 0.01, "fx_eur": 1.0}},
+            "underlyings": {"A": leg, "B": dict(leg, vol={"0.50": {"021": 0.2}})},
+        }
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = float("nan") if len(keys) % 2 else float("inf")
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=r"market\.json: .*non-finite"):
+            load_market(path)
 
     def test_unknown_currency_rejected(self, tmp_path):
         payload = {
@@ -151,6 +191,13 @@ class TestScenarioFile:
         path = tmp_path / "scenarios.csv"
         path.write_text("AAA_ret,AAA_volshift,EUR_rateshift\n0.01,0.0,0.0\n0.01,0.0\n")
         with pytest.raises(SchemaError, match="line 3"):
+            load_scenarios(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_shock_reports_file_and_line(self, tmp_path, text):
+        path = tmp_path / "scenarios.csv"
+        path.write_text(f"AAA_ret,AAA_volshift,EUR_rateshift\n0.01,0.0,0.0\n0.01,{text},0.0\n")
+        with pytest.raises(SchemaError, match=r"scenarios\.csv: line 3: non-finite"):
             load_scenarios(path)
 
     def test_temporal_order_preserved(self, tmp_path):

@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_toy_problem
 
+from ratpo import oracle
 from ratpo.oracle import BudgetExceeded, Enumerator, enumerate_space
 from ratpo.problem import EosStructure, SlotSpec, search_space_size
 
@@ -71,6 +74,16 @@ class TestEnumeration:
         fits = [toy_problem.evaluate(p).fitness for p in result.optimal_positions]
         assert max(fits) - min(fits) <= 1e-12
 
+    def test_truncated_optimal_set_is_flagged(self, toy_problem, monkeypatch):
+        full = enumerate_space(toy_problem, budget=1000)
+        assert len(full.optimal_positions) > 2 and not full.truncated
+        monkeypatch.setattr(oracle, "MAX_OPTIMAL_SET", 2)
+        cut = enumerate_space(toy_problem, budget=1000)
+        assert cut.truncated
+        assert cut.optimal_fitness == full.optimal_fitness
+        assert [p.tolist() for p in cut.optimal_positions] == \
+            [p.tolist() for p in full.optimal_positions[:2]]
+
     def test_block_size_does_not_change_result(self, toy_problem):
         a = enumerate_space(toy_problem, budget=1000, block_size=7)
         b = enumerate_space(toy_problem, budget=1000, block_size=300)
@@ -89,3 +102,17 @@ class TestEnumeration:
             enumerate_space(toy_problem, budget=1000, block_size=64, threads=threads,
                             progress=lambda done, total: calls.append((done, total)))
             assert calls == [(done, 300) for done in (64, 128, 192, 256, 300)]
+
+    def test_reduced_optima_match_bench_reference(self, reduced_problem):
+        # Built once; only the constraints depend on tau, as in criterion 7.
+        reference = json.loads((Path(__file__).resolve().parent.parent / "bench" / "reference.json")
+                               .read_text(encoding="utf-8"))
+        c = reduced_problem.constraints
+        for tau, ref in (("0.1", 1440), ("0.5", 90), ("1.0", 87)):
+            problem = dataclasses.replace(reduced_problem, constraints=dataclasses.replace(
+                c, tau_delta=float(tau), tau_vega=float(tau), tau_gamma=float(tau)))
+            result = enumerate_space(problem, budget=10**6, threads=2)
+            assert result.count == reference["positions"]
+            assert abs(result.optimal_fitness - reference["optima"][tau]["fitness"]) <= 1e-12
+            assert len(result.optimal_positions) == reference["optima"][tau]["optimal_set_size"] == ref
+            assert not result.truncated

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,6 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import reference_pricing
+from ratpo import pricing
+from ratpo.datagen import gen_dataset
+from ratpo.features import FeatureLab
 from ratpo.instruments import Kind
 from ratpo.pricing import (
     Exercise,
@@ -146,6 +151,15 @@ class TestAmerican:
             tree = crr_american(s, k, tau, r, q, vol, is_call)
             assert approx == pytest.approx(tree, rel=7e-3)
 
+    def test_call_with_carry_below_minus_two_vol_over_sqrt_tenor(self):
+        # The quadratic's starting boundary for such a call lies below zero.
+        for s in (80.0, 100.0, 120.0):
+            args = (s, 100.0, 2.0, -0.02, 0.08, 0.02, True)
+            am = barone_adesi_whaley(*args)
+            assert am >= max(s - 100.0, 0.0)
+            assert am >= black_scholes(*args)
+            assert am == pytest.approx(crr_american(*args), abs=1e-2)
+
     def test_zero_rate_put_equals_european(self):
         am = barone_adesi_whaley(90, 100, 1.0, 0.0, 0.0, 0.3, False)
         eu = float(black_scholes(90, 100, 1.0, 0.0, 0.0, 0.3, False))
@@ -162,6 +176,71 @@ class TestAmerican:
             vol = rng.uniform(0.08, 0.6)
             eu = float(black_scholes(s, k, tau, r, 0.0, vol, True))
             assert eu >= max(s - k, 0.0) - 1e-10
+
+
+def assert_matches_scalar_reference(spot, strike, tau, rate, div, vol, is_call):
+    """The broadcasting pricer equals the scalar reference to 1e-10 * strike, element by element."""
+    args = [np.ravel(a) for a in np.broadcast_arrays(*map(np.asarray, (spot, strike, tau, rate, div, vol)))]
+    calls = np.ravel(np.broadcast_to(is_call, args[0].shape)).astype(bool)
+    got = barone_adesi_whaley(*args, calls)
+    want = np.array([reference_pricing.barone_adesi_whaley(*map(float, case[:6]), bool(case[6]))
+                     for case in zip(*args, calls)])
+    assert np.max(np.abs(got - want) / args[1]) <= 1e-10
+
+
+class TestBaroneAdesiWhaleyAgainstScalarReference:
+    def test_random_cases(self):
+        rng = np.random.default_rng(12)
+        n = 10_000
+        s = rng.uniform(20, 300, n)
+        tau = rng.uniform(0.0, 2.0, n)
+        tau[::40] = 0.0
+        assert_matches_scalar_reference(
+            s, s * rng.uniform(0.5, 1.6, n), tau, rng.uniform(-0.02, 0.08, n),
+            rng.uniform(0.0, 0.08, n), rng.uniform(0.1, 0.6, n), rng.integers(0, 2, n).astype(bool))
+
+    @pytest.mark.parametrize("edge", [
+        dict(div=[0.0], is_call=[True]),                     # q = 0 calls: the European price
+        dict(rate=[-0.01, 0.0], is_call=[False]),            # r <= 0 puts: no early exercise
+        dict(rate=[-0.015]),                                 # negative rates, both kinds
+        dict(rate=[0.0, 1e-13, -5e-13, 9e-13]),              # M/h at its r -> 0 limit
+        dict(spot=[20.0, 40.0, 250.0, 400.0]),               # deep in the money, beyond s*
+        dict(tau=[0.0]),                                     # expired: the intrinsic value
+        dict(vol=[0.01, 0.03, 0.05], rate=[0.04]),           # low vol
+    ])
+    def test_named_edges(self, edge):
+        grid = dict(spot=[60.0, 90.0, 100.0, 110.0, 160.0], strike=[100.0], tau=[0.02, 0.5, 1.5],
+                    rate=[0.05], div=[0.0, 0.02, 0.06], vol=[0.25], is_call=[True, False])
+        grid.update(edge)
+        cases = np.array(list(itertools.product(*grid.values())))
+        assert_matches_scalar_reference(*cases.T)
+
+    def test_table1_american_legs_over_scenarios_and_bumps(self, monkeypatch):
+        dataset = gen_dataset(42, profile="table1")
+        american = sorted({leg for leg, _ in dataset.portfolio.legs if leg.endswith("|a")})
+        assert american
+        calls = []
+        original = pricing.barone_adesi_whaley
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pricing, "barone_adesi_whaley", spy)
+        FeatureLab(dataset.market, dataset.scenarios, dataset.universe_specs).build_table(american)
+        sizes = sorted(np.broadcast(*args).size for args in calls)
+        # Per leg: the base value, the four bump states and the 250 scenarios.
+        assert sizes == [1] * len(american) + [4] * len(american) + [250] * len(american)
+        for args in calls:
+            assert_matches_scalar_reference(*args)
+
+    def test_scalar_input_returns_float_of_one_element_call(self):
+        for case in [(90.0, 100.0, 1.0, 0.05, 0.0, 0.3, False), (120.0, 100.0, 0.5, 0.02, 0.06, 0.2, True),
+                     (100.0, 100.0, 1.0, 0.03, 0.0, 0.2, True), (80.0, 100.0, 0.0, 0.05, 0.0, 0.3, False)]:
+            value = barone_adesi_whaley(*case)
+            array = barone_adesi_whaley(*(np.array([x]) for x in case))
+            assert type(value) is float
+            assert array.shape == (1,) and value == array[0]
 
 
 class TestStrikeFromDelta:

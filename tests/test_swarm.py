@@ -253,6 +253,9 @@ class TestRun:
         first = swarm.run()
         second = swarm.run()
         assert first.iterations == second.iterations == 5
+        # Each run counts only its own evaluations: the initial swarm plus one per step.
+        for result in (first, second):
+            assert result.evaluations == (result.iterations + 1) * 50
 
     def test_stepping_without_run_starts_no_threads(self):
         before = threading.active_count()
