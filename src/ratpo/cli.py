@@ -23,9 +23,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import datagen, fileio, oracle as oracle_mod, swarm as swarm_mod
-from .features import FeatureLab, aggregate
-from .instruments import build_universe
-from .problem import ConstraintSpec, ProblemInstance, build_structure, riskfree_pnl
+from .features import FeatureError, FeatureLab, aggregate
+from .instruments import UniverseError, build_universe, is_uei_id, parse_descriptor_id, parse_static_id
+from .pricing import PricingError
+from .problem import (
+    ConstraintSpec,
+    ProblemInstance,
+    StructureError,
+    build_structure,
+    notional_grid,
+    riskfree_pnl,
+)
 from .risk import VarConfig
 from .swarm import RandomMode, RatsConfig
 
@@ -54,63 +62,120 @@ class ProblemConfig:
     universe_tickers: Optional[tuple[str, ...]] = None
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _check_types(path: Optional[str], raw: dict, defaults) -> None:
+    """Reject unknown keys and values whose JSON type differs from the default's."""
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(defaults)})
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    for name, value in raw.items():
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(default, int):
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif isinstance(default, float):
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        elif isinstance(default, str):
+            ok = isinstance(value, str)
+        else:  # universe_tickers
+            ok = value is None or (isinstance(value, list) and value and all(isinstance(t, str) for t in value))
+        if not ok:
+            expected = "a non-empty list of tickers" if default is None else type(default).__name__
+            raise ConfigError(f"{path}: {name} must be {expected}, got {value!r}")
+
+
 def load_problem_config(path: Optional[str]) -> ProblemConfig:
     if path is None:
         return ProblemConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    raw = _read_config(path)
     if "tau_g" in raw:
         tau = raw.pop("tau_g")
         raw.setdefault("tau_delta", tau)
         raw.setdefault("tau_vega", tau)
         raw.setdefault("tau_gamma", tau)
-    known = {f.name for f in dataclasses.fields(ProblemConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown problem config keys {unknown}")
-    if "universe_tickers" in raw and raw["universe_tickers"] is not None:
+    _check_types(path, raw, ProblemConfig())
+    if raw.get("universe_tickers") is not None:
         raw["universe_tickers"] = tuple(raw["universe_tickers"])
+    cfg = ProblemConfig(**raw)
+    # The constructors that assemble_problem calls own the range rules.
     try:
-        return ProblemConfig(**raw)
-    except TypeError as exc:
+        VarConfig(cfg.beta, cfg.decay, 1)
+        ConstraintSpec(cfg.tau_delta, cfg.tau_vega, cfg.tau_gamma, 0.0, 0.0, 0.0,
+                       cfg.penalty_delta, cfg.penalty_vega, cfg.penalty_gamma)
+        riskfree_pnl(0.0, 0.0, cfg.daycount)
+        notional_grid(1, cfg.grid_points)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return cfg
 
 
 def load_rats_config(path: Optional[str], seed: Optional[int], threads: Optional[int]) -> RatsConfig:
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    known = {f.name for f in dataclasses.fields(RatsConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown swarm config keys {unknown}")
-    if "random_mode" in raw:
-        raw["random_mode"] = RandomMode(raw["random_mode"])
+    raw = {} if path is None else _read_config(path)
+    _check_types(path, raw, RatsConfig())
     if seed is not None:
         raw["seed"] = seed
     if threads is not None:
         raw["threads"] = threads
     try:
+        if "random_mode" in raw:
+            raw["random_mode"] = RandomMode(raw["random_mode"])
         return RatsConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"swarm config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path or 'swarm config'}: {exc}") from exc
 
 
 def build_problem(data_dir: str, cfg: ProblemConfig) -> ProblemInstance:
     """Load the four input files of a data directory and assemble their problem."""
     data = Path(data_dir)
+    paths = {name: data / name for name in ("universe.json", "market.json", "scenarios.csv", "portfolio.csv")}
     dataset = datagen.Dataset(
-        universe_specs=tuple(fileio.load_universe(data / "universe.json")),
-        market=fileio.load_market(data / "market.json"),
-        scenarios=fileio.load_scenarios(data / "scenarios.csv"),
-        portfolio=fileio.load_portfolio(data / "portfolio.csv"),
+        universe_specs=tuple(fileio.load_universe(paths["universe.json"])),
+        market=fileio.load_market(paths["market.json"]),
+        scenarios=fileio.load_scenarios(paths["scenarios.csv"]),
+        portfolio=fileio.load_portfolio(paths["portfolio.csv"]),
     )
-    return assemble_problem(dataset, cfg)
+    _check_inputs(dataset, paths)
+    try:
+        return assemble_problem(dataset, cfg)
+    except (FeatureError, PricingError, StructureError, UniverseError) as exc:
+        # Raised on inputs the loaders accept but that cannot be priced or sized.
+        raise ConfigError(f"{data}: {exc}") from exc
+
+
+def _check_inputs(dataset: datagen.Dataset, paths: dict[str, Path]) -> None:
+    """Every ticker the universe or the book names has quotes and scenario columns."""
+    specs = dataset.universe_specs
+    needed = {s.ticker: "universe.json" for s in specs}
+    for instrument_id, _ in dataset.portfolio.legs:
+        if is_uei_id(instrument_id):
+            pos = parse_descriptor_id(instrument_id).underlying_pos
+            if pos > len(specs):
+                raise fileio.SchemaError(paths["portfolio.csv"], f"{instrument_id!r}: underlying "
+                                         f"position {pos} is not in universe.json")
+            needed.setdefault(specs[pos - 1].ticker, "portfolio.csv")
+        else:
+            needed.setdefault(parse_static_id(instrument_id).ticker, "portfolio.csv")
+    market, scenarios = dataset.market, dataset.scenarios
+    for ticker, source in needed.items():
+        if ticker not in market.underlyings:
+            raise fileio.SchemaError(paths[source], f"no quotes for {ticker!r} in market.json")
+        if ticker not in scenarios.tickers:
+            raise fileio.SchemaError(paths["scenarios.csv"], f"no columns for {ticker!r}, which {source} needs")
+        currency = market.underlyings[ticker].currency
+        if currency not in scenarios.currencies:
+            raise fileio.SchemaError(paths["scenarios.csv"],
+                                     f"no {currency}_rateshift column, which {ticker!r} needs")
 
 
 def assemble_problem(dataset: datagen.Dataset, cfg: ProblemConfig) -> ProblemInstance:
@@ -191,20 +256,6 @@ def _write_trajectory(trajectory, path: Path) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def _slot_report(result: swarm_mod.RatsResult, problem: ProblemInstance) -> list[dict]:
-    """Per-slot view of the chosen position, zero notionals included."""
-    m = problem.structure.m
-    rows = []
-    for j, slot in enumerate(problem.structure.slots):
-        idx = int(result.position[j])
-        rows.append({
-            "slot": j + 1,
-            "instrument_id": problem.universe_ids[idx - 1],
-            "notional": int(slot.grid[int(result.position[m + j])]),
-        })
-    return rows
-
-
 def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     b = result.breakdown
@@ -223,19 +274,20 @@ def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, out: P
         "wall_seconds": result.wall_seconds,
         "seed": result.seed,
         "strategy": [{"instrument_id": i, "notional": n} for i, n in result.strategy.legs],
-        "slots": _slot_report(result, problem),
+        "slots": [{"slot": j, "instrument_id": i, "notional": n}
+                  for j, (i, n) in enumerate(problem.structure.legs(result.position, problem.universe_ids), 1)],
         "position": [int(v) for v in result.position],
     }
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="")
     _write_trajectory(result.trajectory, out / "trajectory.csv")
 
-    eos = aggregate(problem.table, result.strategy)
-    total = problem.init + eos
+    # The evaluator's own P&L row, so the column reproduces beta_var and mean_pnl bit for bit.
+    total = problem.evaluator.evaluate(result.position[None, :])["pnl"][0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario", "initial_pnl", "total_pnl"])
     for i in range(problem.var_cfg.count):
-        writer.writerow([i + 1, repr(float(problem.init.pnl[i])), repr(float(total.pnl[i]))])
+        writer.writerow([i + 1, repr(float(problem.init.pnl[i])), repr(float(total[i]))])
     (out / "pnl_hist.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
@@ -321,15 +373,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"unsupported grid variables {unknown}")
     c_pers_values = grids.get("c_pers", [rcfg.c_pers])
     c_soc_values = grids.get("c_soc", [rcfg.c_soc])
-    taus = [float(t) for t in args.tau_g.split(",")] if args.tau_g else [pcfg.tau_delta]
 
     # Only the constraints depend on tau, so the problem is built once.
     problem = build_problem(args.data_dir, pcfg)
-    problems = {
-        tau: dataclasses.replace(problem, constraints=dataclasses.replace(
-            problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
-        for tau in taus
-    }
+    try:
+        taus = [float(t) for t in args.tau_g.split(",")] if args.tau_g else [pcfg.tau_delta]
+        limits = {tau: dataclasses.replace(problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau)
+                  for tau in taus}
+    except ValueError as exc:
+        raise ConfigError(f"--tau-g {args.tau_g}: {exc}") from exc
+    problems = {tau: dataclasses.replace(problem, constraints=c) for tau, c in limits.items()}
 
     cells = [
         (tau, cp, cs)
@@ -373,15 +426,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ratpo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic data directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--profile", default="table1", choices=sorted(datagen.PROFILES))
-    p.add_argument("--scenarios", type=int, default=250)
+    p.add_argument("--scenarios", type=_at_least(1), default=250)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("features", help="export the feature table as CSV")
@@ -394,8 +460,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--problem", default=os.environ.get(ENV_PROBLEM_CONFIG))
     p.add_argument("--rats", default=os.environ.get(ENV_RATS_CONFIG))
-    p.add_argument("--seed", type=int, default=None, help="override the swarm seed")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None, help="override the swarm seed")
+    p.add_argument("--threads", type=_at_least(1), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 
@@ -404,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", default=os.environ.get(ENV_PROBLEM_CONFIG))
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--tau-eq", type=float, default=1e-12)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
@@ -416,7 +482,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", nargs="+", default=["c_pers=0.1:1.9:0.1", "c_soc=0.1:1.9:0.1"])
     p.add_argument("--tau-g", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -427,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, fileio.SchemaError, ValueError) as exc:
+    except (ConfigError, fileio.SchemaError) as exc:
         print(f"ratpo: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from .instruments import (
     parse_descriptor_id,
     parse_static_id,
 )
-from .pricing import PricingInputs, bump_greeks
+from .pricing import PricingInputs
 
 #: Shocked vols are floored here so scenario repricing stays defined.
 VOL_FLOOR = 1e-6
@@ -211,21 +211,20 @@ class FeatureLab:
             strike=strike_abs, kind=kind, exercise=exercise,
         ).pinned()
 
-        v0 = pricing.price(base)
-        pnl = self._scenario_pnl(base, ticker, v0)
-        delta, vega, gamma = bump_greeks(base)
+        # One pricer call values the bump states, then the scenarios.
+        sc = self.scenarios
+        col, ccy_col = sc.column(ticker), sc.currency_column(u.currency)
+        bump_spots, bump_vols = pricing.bump_states(base)
+        values = pricing.price_at(
+            base,
+            np.concatenate([bump_spots, base.spot * np.maximum(1.0 + sc.spot_returns[:, col], SPOT_FLOOR)]),
+            np.concatenate([bump_vols, np.maximum(base.vol + sc.vol_shifts[:, col], VOL_FLOOR)]),
+            np.concatenate([np.full(bump_spots.size, base.rate), base.rate + sc.rate_shifts[:, ccy_col]]),
+        )
+        v0 = float(values[0])
+        delta, vega, gamma = pricing.greeks_from(values)
         cost = self._unit_cost(u, kind, delta, vega, strike_pct)
-        return InstrumentFeatures(v0, pnl, delta, vega, gamma, cost)
-
-    def _scenario_pnl(self, base: PricingInputs, ticker: str, v0: float) -> np.ndarray:
-        col = self.scenarios.column(ticker)
-        ccy_col = self.scenarios.currency_column(self.market.underlying(ticker).currency)
-        rets = self.scenarios.spot_returns[:, col]
-        spots = base.spot * np.maximum(1.0 + rets, SPOT_FLOOR)
-        vols = np.maximum(base.vol + self.scenarios.vol_shifts[:, col], VOL_FLOOR)
-        rates = base.rate + self.scenarios.rate_shifts[:, ccy_col]
-
-        return pricing.price_at(base, spots, vols, rates) - v0
+        return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
 
     def _unit_cost(
         self, u, kind: Kind, delta: float, vega: float, strike_pct: Optional[float],

@@ -28,6 +28,9 @@ from .instruments import (
     ScenarioSet,
     UnderlyingMarket,
     UnderlyingSpec,
+    is_uei_id,
+    parse_descriptor_id,
+    parse_static_id,
 )
 
 PathLike = Union[str, Path]
@@ -46,6 +49,27 @@ def _write_text(path: PathLike, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _read_text(path: PathLike) -> str:
+    """The file's UTF-8 text, line endings untranslated; a missing, unreadable
+    or non-UTF-8 file is a :class:`SchemaError`."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(path, f"cannot read: {exc}") from exc
+
+
+def _read_json(path: PathLike):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+
+
+def _csv_rows(path: PathLike):
+    return csv.reader(io.StringIO(_read_text(path), newline=""))
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -58,14 +82,26 @@ def _number(value) -> float:
     return x
 
 
-def _bound(value) -> Optional[int]:
-    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+def _integer(value, what: str) -> int:
+    """A JSON integer: floats, booleans and strings are rejected, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"notional bound must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _bound(value) -> Optional[int]:
+    return None if value is None else _integer(value, "notional bound")
+
+
+def _object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _spreads(entry: Mapping) -> dict[float, float]:
-    return {_number(k): _number(v) for k, v in entry.get("vol_spread_by_strike", {}).items()}
+    spreads = _object(entry.get("vol_spread_by_strike", {}), "vol_spread_by_strike")
+    return {_number(k): _number(v) for k, v in spreads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +126,16 @@ def save_universe(specs: Sequence[UnderlyingSpec], path: PathLike) -> None:
 
 
 def load_universe(path: PathLike) -> list[UnderlyingSpec]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SchemaError(path, "expected a JSON array of underlying specs")
+    raw = _read_json(path)
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError(path, "expected a non-empty JSON array of underlying specs")
     specs = []
     for i, entry in enumerate(raw):
         try:
             specs.append(UnderlyingSpec(
                 ticker=entry["ticker"],
                 category=Category(entry["category"]),
-                tenor_domain=tuple(int(t) for t in entry["tenor_domain"]),
+                tenor_domain=tuple(_integer(t, "tenor") for t in entry["tenor_domain"]),
                 option_notional_bound=_bound(entry.get("option_notional_bound")),
                 linear_notional_bound=_bound(entry.get("linear_notional_bound")),
                 spot_spread=_number(entry.get("spot_spread", 0.0)),
@@ -145,20 +178,23 @@ def save_market(market: MarketData, path: PathLike) -> None:
 
 
 def load_market(path: PathLike) -> MarketData:
+    raw = _read_json(path)
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+        raw = _object(raw, "top level")
+        entries = _object(raw.get("underlyings", {}), "underlyings")
+        rates = _object(raw.get("currencies"), "currencies")
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
     try:
         currencies = {
             ccy: CurrencyMarket(rate=_number(entry["rate"]), fx_eur=_number(entry.get("fx_eur", 1.0)))
-            for ccy, entry in raw["currencies"].items()
+            for ccy, entry in rates.items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(path, f"currencies: {exc}") from exc
 
     underlyings = {}
-    for ticker, entry in raw.get("underlyings", {}).items():
+    for ticker, entry in entries.items():
         try:
             ccy = entry["currency"]
             if ccy not in currencies:
@@ -169,7 +205,7 @@ def load_market(path: PathLike) -> MarketData:
                 vol = {
                     (_number(strike), int(tenor)): _number(v)
                     for strike, by_tenor in vol.items()
-                    for tenor, v in by_tenor.items()
+                    for tenor, v in _object(by_tenor, f"vol strike {strike}").items()
                 }
             else:
                 vol = _number(vol)
@@ -206,21 +242,24 @@ def save_portfolio(portfolio: Portfolio, path: PathLike) -> None:
 
 
 def load_portfolio(path: PathLike) -> Portfolio:
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["instrument_id", "notional"]:
-            raise SchemaError(path, f"expected header instrument_id,notional, got {header}")
-        legs = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(path, f"line {line_no}: expected 2 fields, got {len(row)}")
-            try:
-                legs.append((row[0], int(row[1])))
-            except ValueError as exc:
-                raise SchemaError(path, f"line {line_no}: notional must be an integer: {exc}") from exc
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header != ["instrument_id", "notional"]:
+        raise SchemaError(path, f"expected header instrument_id,notional, got {header}")
+    legs = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SchemaError(path, f"line {line_no}: expected 2 fields, got {len(row)}")
+        try:
+            parse_descriptor_id(row[0]) if is_uei_id(row[0]) else parse_static_id(row[0])
+        except ValueError as exc:
+            raise SchemaError(path, f"line {line_no}: {exc}") from exc
+        try:
+            legs.append((row[0], int(row[1])))
+        except ValueError as exc:
+            raise SchemaError(path, f"line {line_no}: notional must be an integer: {exc}") from exc
     return Portfolio.from_pairs(legs)
 
 
@@ -247,32 +286,31 @@ def save_scenarios(scenarios: ScenarioSet, path: PathLike) -> None:
 
 
 def load_scenarios(path: PathLike) -> ScenarioSet:
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header:
-            raise SchemaError(path, "missing header row")
-        tickers = [c[: -len("_ret")] for c in header if c.endswith("_ret")]
-        currencies = [c[: -len("_rateshift")] for c in header if c.endswith("_rateshift")]
-        if not tickers:
-            raise SchemaError(path, "no <ticker>_ret columns found")
-        expected = [f"{t}_{kind}" for t in tickers for kind in ("ret", "volshift")]
-        expected += [f"{c}_rateshift" for c in currencies]
-        missing = sorted(set(expected) - set(header))
-        if missing:
-            raise SchemaError(path, f"missing column {missing[0]}")
-        if list(header) != expected:
-            raise SchemaError(path, f"unexpected column layout: {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(path, f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([_number(v) for v in row])
-            except ValueError as exc:
-                raise SchemaError(path, f"line {line_no}: {exc}") from exc
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if not header:
+        raise SchemaError(path, "missing header row")
+    tickers = [c[: -len("_ret")] for c in header if c.endswith("_ret")]
+    currencies = [c[: -len("_rateshift")] for c in header if c.endswith("_rateshift")]
+    if not tickers:
+        raise SchemaError(path, "no <ticker>_ret columns found")
+    expected = [f"{t}_{kind}" for t in tickers for kind in ("ret", "volshift")]
+    expected += [f"{c}_rateshift" for c in currencies]
+    missing = sorted(set(expected) - set(header))
+    if missing:
+        raise SchemaError(path, f"missing column {missing[0]}")
+    if list(header) != expected:
+        raise SchemaError(path, f"unexpected column layout: {header}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(path, f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([_number(v) for v in row])
+        except ValueError as exc:
+            raise SchemaError(path, f"line {line_no}: {exc}") from exc
     if not rows:
         raise SchemaError(path, "scenario file has no data rows")
     data = np.array(rows)

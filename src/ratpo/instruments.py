@@ -148,10 +148,6 @@ class UnderlyingSpec:
         if any(v < 0 for v in self.vol_spread_by_strike.values()):
             raise UniverseError(f"{self.ticker}: vol spreads must be non-negative")
 
-    @property
-    def linear_kind(self) -> Kind:
-        return Kind.STOCK if self.category is Category.STOCK else Kind.FUTURES
-
 
 def build_universe(specs: Sequence[UnderlyingSpec]) -> list[UeiDescriptor]:
     """Enumerate the eligible-instrument universe for sorted underlying specs.

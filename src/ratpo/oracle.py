@@ -40,7 +40,6 @@ class OracleResult:
 
 @dataclass
 class _BlockSummary:
-    start: int
     best_fit: float
     candidates: list[tuple[float, np.ndarray]]
     best_violation: float
@@ -51,15 +50,10 @@ class Enumerator:
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         self.evaluator = problem.evaluator
-        structure = problem.structure
-        m = structure.m
-        # Digit radices in position order: index ranges first, then grid sizes.
-        self.sizes = np.array(
-            [s.index_count for s in structure.slots] + [len(s.grid) for s in structure.slots],
-            dtype=np.int64,
-        )
-        self.offsets = np.array([s.lower for s in structure.slots] + [0] * m, dtype=np.int64)
-        self.total = search_space_size(structure)
+        # Digit radices and offsets in position order: index ranges first, then grid indices.
+        self.offsets, upper = problem.structure.position_bounds()
+        self.sizes = upper - self.offsets + 1
+        self.total = search_space_size(problem.structure)
 
     def positions_for(self, start: int, stop: int) -> np.ndarray:
         """Decode flat enumeration indices [start, stop) into position vectors."""
@@ -75,7 +69,7 @@ class Enumerator:
         positions = self.positions_for(start, stop)
         res = self.evaluator.evaluate(positions)
         feasible = res["feasible"]
-        summary = _BlockSummary(start, np.inf, [], np.inf, None)
+        summary = _BlockSummary(np.inf, [], np.inf, None)
         if feasible.any():
             fit = np.where(feasible, res["fitness"], np.inf)
             best = float(fit.min())
@@ -96,7 +90,6 @@ class Enumerator:
         block_size: int = 65_536,
         threads: int = 1,
         progress: Optional[Callable[[int, int], None]] = None,
-        reverse: bool = False,
     ) -> OracleResult:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
@@ -104,8 +97,6 @@ class Enumerator:
             raise BudgetExceeded(self.total, budget)
         t0 = time.perf_counter()
         ranges = [(a, min(a + block_size, self.total)) for a in range(0, self.total, block_size)]
-        if reverse:
-            ranges = ranges[::-1]
 
         def scan(r: tuple[int, int]) -> _BlockSummary:
             return self._scan_block(*r, tau_eq)
@@ -113,6 +104,7 @@ class Enumerator:
         summaries: list[_BlockSummary] = []
         done = 0
         # No worker thread starts before the first submit, so one thread costs nothing here.
+        # Both maps yield in block order, so the reduction below runs in enumeration order.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = pool.map(scan, ranges) if threads > 1 else map(scan, ranges)
             for (start, stop), summary in zip(ranges, blocks):
@@ -121,8 +113,6 @@ class Enumerator:
                 if progress is not None:
                     progress(done, self.total)
 
-        # Deterministic reduction in enumeration order.
-        summaries.sort(key=lambda s: s.start)
         best_fit = np.inf
         candidates: list[tuple[float, np.ndarray]] = []
         best_violation = np.inf

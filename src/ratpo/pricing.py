@@ -259,20 +259,29 @@ def price(inputs: PricingInputs) -> float:
     return float(price_at(inputs, inputs.spot, inputs.vol, inputs.rate))
 
 
-def bump_greeks(inputs: PricingInputs) -> tuple[float, float, float]:
-    """Monetary (Delta, Vega, Gamma) per unit notional from one-sided shocks.
+#: Spot factors and vol shifts of the bump states, base first: base, spot up, spot down, vol up.
+_BUMP_SPOT = np.array([1.0, 1.0 + SPOT_SHOCK, 1.0 - SPOT_SHOCK, 1.0])
+_BUMP_VOL = np.array([0.0, 0.0, 0.0, VOL_SHOCK])
+
+
+def bump_states(inputs: PricingInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Spots and vols of the four bump states whose values :func:`greeks_from` reads."""
+    return inputs.spot * _BUMP_SPOT, inputs.vol + _BUMP_VOL
+
+
+def greeks_from(values: np.ndarray) -> tuple[float, float, float]:
+    """Monetary (Delta, Vega, Gamma) from the values of the :func:`bump_states`.
 
     Delta = v(1.01 S) - v(S); Gamma = v(1.01 S) - 2 v(S) + v(0.99 S);
-    Vega = v(sigma + 0.01) - v(sigma).  The four states are priced in one call.
+    Vega = v(sigma + 0.01) - v(sigma).
     """
+    v0, v_up, v_dn, v_vol = map(float, values[:4])
+    return v_up - v0, v_vol - v0, v_up - 2.0 * v0 + v_dn
+
+
+def bump_greeks(inputs: PricingInputs) -> tuple[float, float, float]:
+    """Monetary (Delta, Vega, Gamma) per unit notional from one-sided shocks,
+    the four bump states priced in one call."""
     base = inputs.pinned()
-    v0, v_up, v_dn, v_vol = map(float, price_at(
-        base,
-        base.spot * np.array([1.0, 1.0 + SPOT_SHOCK, 1.0 - SPOT_SHOCK, 1.0]),
-        base.vol + np.array([0.0, 0.0, 0.0, VOL_SHOCK]),
-        base.rate,
-    ))
-    delta = v_up - v0
-    gamma = v_up - 2.0 * v0 + v_dn
-    vega = v_vol - v0
-    return delta, vega, gamma
+    spots, vols = bump_states(base)
+    return greeks_from(price_at(base, spots, vols, base.rate))

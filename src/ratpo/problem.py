@@ -45,18 +45,12 @@ class SlotSpec:
         if list(self.grid) != sorted(set(self.grid)):
             raise StructureError("notional grid must be strictly increasing")
 
-    @property
-    def index_count(self) -> int:
-        return self.upper - self.lower + 1
-
-    @property
-    def zero_index(self) -> int:
-        return self.grid.index(0)
-
 
 @dataclass(frozen=True)
 class EosStructure:
-    """Slot layout for candidate strategies.
+    """Slot layout for candidate strategies, and the one codec of the position
+    vector: bounds, the empty position, the notional grids and the per-slot
+    legs all come from here.
 
     The standard layout built from underlying specs is a per-underlying
     triplet (two option slots sharing the call+put index range, one linear
@@ -107,6 +101,35 @@ class EosStructure:
         lo = [s.lower for s in self.slots] + [0] * self.m
         hi = [s.upper for s in self.slots] + [len(s.grid) - 1 for s in self.slots]
         return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+    def empty_position(self) -> np.ndarray:
+        """Every slot at its lowest index with a zero notional (the empty strategy)."""
+        lo = [s.lower for s in self.slots] + [s.grid.index(0) for s in self.slots]
+        return np.array(lo, dtype=np.int64)
+
+    def grid_matrix(self) -> np.ndarray:
+        """(m, longest grid) notionals; row j holds slot j's grid, zero-padded."""
+        grids = np.zeros((self.m, max(len(s.grid) for s in self.slots)), dtype=np.int64)
+        for j, slot in enumerate(self.slots):
+            grids[j, : len(slot.grid)] = slot.grid
+        return grids
+
+    def legs(self, x: Sequence[int], universe_ids: Sequence[str]) -> list[tuple[str, int]]:
+        """Position vector -> one (instrument id, notional) leg per slot, zero
+        notionals included; raises :class:`StructureError` on a wrong-length or
+        out-of-bounds position."""
+        m = self.m
+        if len(x) != 2 * m:
+            raise StructureError(f"position length {len(x)} != 2m = {2 * m}")
+        legs = []
+        for j, slot in enumerate(self.slots):
+            idx, gidx = int(x[j]), int(x[m + j])
+            if not slot.lower <= idx <= slot.upper:
+                raise StructureError(f"slot {j}: universe index {idx} outside [{slot.lower}, {slot.upper}]")
+            if not 0 <= gidx < len(slot.grid):
+                raise StructureError(f"slot {j}: grid index {gidx} outside [0, {len(slot.grid) - 1}]")
+            legs.append((universe_ids[idx - 1], slot.grid[gidx]))
+        return legs
 
 
 def round_magnitude(x: float) -> int:
@@ -222,26 +245,14 @@ def build_structure(
 
 
 def search_space_size(structure: EosStructure) -> int:
-    total = 1
-    for slot in structure.slots:
-        total *= slot.index_count * len(slot.grid)
-    return total
+    """Positions in the structure's box, as a Python int: table1 overflows int64."""
+    lo, hi = structure.position_bounds()
+    return math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
 
 
 def decode(x: Sequence[int], structure: EosStructure, universe_ids: Sequence[str]) -> Portfolio:
     """Position vector -> strategy portfolio (duplicates merged, zero legs dropped)."""
-    m = structure.m
-    if len(x) != 2 * m:
-        raise StructureError(f"position length {len(x)} != 2m = {2 * m}")
-    legs: list[tuple[str, int]] = []
-    for j, slot in enumerate(structure.slots):
-        idx, gidx = int(x[j]), int(x[m + j])
-        if not slot.lower <= idx <= slot.upper:
-            raise StructureError(f"slot {j}: universe index {idx} outside [{slot.lower}, {slot.upper}]")
-        if not 0 <= gidx < len(slot.grid):
-            raise StructureError(f"slot {j}: grid index {gidx} outside [0, {len(slot.grid) - 1}]")
-        legs.append((universe_ids[idx - 1], slot.grid[gidx]))
-    return Portfolio(tuple(legs)).merged()
+    return Portfolio(tuple(structure.legs(x, universe_ids))).merged()
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +335,8 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         if self.init.pnl.shape != (self.var_cfg.count,):
             raise ValueError("initial portfolio P&L length does not match the scenario count")
-        for slot in self.structure.slots:
-            if slot.upper > len(self.universe_ids):
-                raise ValueError("structure indices exceed the universe size")
+        if max(slot.upper for slot in self.structure.slots) > len(self.universe_ids):
+            raise ValueError("structure indices exceed the universe size")
         object.__setattr__(self, "evaluator", BatchEvaluator(self))
 
     def decode(self, x: Sequence[int]) -> Portfolio:
@@ -336,9 +346,9 @@ class ProblemInstance:
         """One position's breakdown, evaluated as a batch of one.
 
         Raises :class:`StructureError` on a wrong-length or out-of-bounds
-        position, as :func:`decode` does.
+        position, as :meth:`EosStructure.legs` does.
         """
-        self.decode(x)
+        self.structure.legs(x, self.universe_ids)
         row = self.evaluator.evaluate(np.asarray(x, dtype=np.int64)[None, :])
         return EvalBreakdown(
             float(row["fitness"][0]), float(row["objective"][0]), float(row["mean"][0]),
@@ -347,12 +357,7 @@ class ProblemInstance:
 
     def empty_position(self) -> np.ndarray:
         """A position with every notional grid index at zero (the empty strategy)."""
-        m = self.structure.m
-        x = np.empty(2 * m, dtype=np.int64)
-        for j, slot in enumerate(self.structure.slots):
-            x[j] = slot.lower
-            x[m + j] = slot.zero_index
-        return x
+        return self.structure.empty_position()
 
 
 class BatchEvaluator:
@@ -379,17 +384,16 @@ class BatchEvaluator:
 
         structure = problem.structure
         self.m = structure.m
-        gmax = max(len(s.grid) for s in structure.slots)
-        self._grids = np.zeros((self.m, gmax), dtype=np.int64)
-        for j, slot in enumerate(structure.slots):
-            self._grids[j, : len(slot.grid)] = slot.grid
+        self._slot_rows = np.arange(self.m)
+        self._grids = structure.grid_matrix().astype(float)
         self._rank = var_index(problem.var_cfg)
         self._limits = np.array(problem.constraints.limits)
         self._penalties = np.array(problem.constraints.penalties)
         self._groups = structure.range_groups()
 
     def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate a (p, 2m) int position matrix; returns per-row arrays.
+        """Evaluate a (p, 2m) int position matrix; returns per-row arrays, the
+        (p, scenarios) total P&L from which mean and VaR were taken among them.
 
         The accumulation runs slot by slot in a fixed order so every row's
         arithmetic is independent of the batch it arrived in.
@@ -398,9 +402,7 @@ class BatchEvaluator:
         p = positions.shape[0]
         m = self.m
         idx = positions[:, :m] - 1
-        notion = np.empty((p, m))
-        for j in range(m):
-            notion[:, j] = self._grids[j, positions[:, m + j]]
+        notion = self._grids[self._slot_rows, positions[:, m:]]
 
         total_pnl = np.repeat(self.problem.init.pnl[None, :], p, axis=0)
         buf = np.empty_like(total_pnl)
@@ -458,9 +460,6 @@ class BatchEvaluator:
             if lam > 0.0:
                 penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
         fitness = f + penalty
-        return self._package(fitness, f, mean, var, cost, psi)
-
-    def _package(self, fitness, f, mean, var, cost, psi) -> dict[str, np.ndarray]:
         return {
             "fitness": fitness,
             "objective": f,
@@ -469,4 +468,5 @@ class BatchEvaluator:
             "cost": cost,
             "psi": psi,
             "feasible": np.all(psi == 0.0, axis=1),
+            "pnl": total_pnl,
         }

@@ -81,6 +81,8 @@ class RatsConfig:
             raise ValueError("iteration budgets must be non-negative / positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -148,8 +150,7 @@ class Swarm:
         self.velocities = self.rng.uniform(cfg.v_min, cfg.v_max, size=(n, self.dim))
         if cfg.inject_zero_strategy:
             # Guarantee a feasible incumbent: one particle trades nothing.
-            for j, slot in enumerate(self.problem.structure.slots):
-                self.positions[0, m + j] = slot.zero_index
+            self.positions[0, m:] = self.problem.empty_position()[m:]
 
         self.best_positions = self.positions.copy()
         self.best_fitness = self._evaluate(self.positions)

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ratpo.cli import derive_cell_seed, main
+from ratpo.risk import VarConfig, var_index
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,131 @@ class TestConfigs:
         code = main(["optimize", "--data-dir", str(data_dir), "--problem", problem,
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+def _set(name, *keys, value):
+    """Mutation that sets one nested key of a JSON input file."""
+    def mutate(data: Path) -> None:
+        payload = json.loads((data / name).read_text())
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (data / name).write_text(json.dumps(payload))
+    return mutate
+
+
+def _write(name, text=None, raw=None):
+    def mutate(data: Path) -> None:
+        if raw is not None:
+            (data / name).write_bytes(raw)
+        else:
+            (data / name).write_text(text)
+    return mutate
+
+
+def _append_leg(instrument_id):
+    def mutate(data: Path) -> None:
+        with open(data / "portfolio.csv", "a") as fh:
+            fh.write(f"{instrument_id},5\n")
+    return mutate
+
+
+def _drop_scenario_columns(ticker):
+    def mutate(data: Path) -> None:
+        rows = list(csv.reader((data / "scenarios.csv").read_text().splitlines()))
+        keep = [i for i, c in enumerate(rows[0]) if c not in (f"{ticker}_ret", f"{ticker}_volshift")]
+        (data / "scenarios.csv").write_text("\n".join(",".join(r[i] for i in keep) for r in rows) + "\n")
+    return mutate
+
+
+class TestBadInputFiles:
+    """Each malformed input exits 2 with the offending file named on stderr."""
+
+    @pytest.mark.parametrize("mutate, culprit", [
+        (_set("market.json", "underlyings", value=[]), "market.json"),
+        (_set("market.json", "currencies", value=[]), "market.json"),
+        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": 0.2}), "market.json"),
+        (_set("universe.json", 0, "vol_spread_by_strike", value=[0.006, 0.005]), "universe.json"),
+        (_set("universe.json", 0, "tenor_domain", value=[21.5, 49]), "universe.json"),
+        (_set("universe.json", 0, "tenor_domain", value=[True, 49]), "universe.json"),
+        (_set("universe.json", 0, "tenor_domain", value=["21", "49"]), "universe.json"),
+        (_write("universe.json", "[]"), "universe.json"),
+        (lambda data: (data / "scenarios.csv").unlink(), "scenarios.csv"),
+        (_write("portfolio.csv", raw=b"instrument_id,notional\n\xff\xfe,1\n"), "portfolio.csv"),
+        (_append_leg("FOO|z"), "portfolio.csv"),
+        (_append_leg("NOPE|s"), "portfolio.csv"),
+        (_drop_scenario_columns("IBM.N"), "scenarios.csv"),
+        (_drop_scenario_columns(".STOXX50E"), "scenarios.csv"),
+    ], ids=["market-underlyings-list", "market-currencies-list", "vol-strike-not-object",
+            "vol-spreads-list", "tenor-float", "tenor-bool", "tenor-string", "universe-empty",
+            "missing-file", "non-utf8", "malformed-id", "unknown-ticker",
+            "scenarios-lack-book-ticker", "scenarios-lack-universe-ticker"])
+    def test_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, mutate, culprit):
+        problem, _ = configs
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        mutate(data)
+        code = main(["features", "--data-dir", str(data), "--problem", problem,
+                     "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert str(data / culprit) in capsys.readouterr().err
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("payload", [
+        {"beta": "x"}, {"grid_points": "9"}, {"beta": 2}, {"tau_g": -1}, {"daycount": 300},
+        {"grid_points": 8}, [1], {"universe_tickers": []}, {"derive_bounds": 1},
+    ], ids=["beta-string", "grid-string", "beta-range", "tau-range", "daycount", "grid-even",
+            "array", "no-tickers", "bounds-int"])
+    def test_problem_config_exit_2_names_file(self, data_dir, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "problem.json", payload)
+        code = main(["features", "--data-dir", str(data_dir), "--problem", path,
+                     "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [{"random_mode": "bogus"}, {"particles": 0}, {"seed": -1},
+                                         {"particles": 2.5}])
+    def test_rats_config_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, payload):
+        problem, _ = configs
+        path = write_json(tmp_path / "rats.json", payload)
+        code = main(["optimize", "--data-dir", str(data_dir), "--problem", problem, "--rats", path,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", ["--grid", "c_pers=1:1:1", "c_soc=1:1:1"]), ("oracle", ["--budget", "10"]), ("optimize", []),
+    ])
+    def test_zero_threads_is_usage_error(self, data_dir, configs, tmp_path, capsys, command, extra):
+        problem, rats = configs
+        rats_flag = [] if command == "oracle" else ["--rats", rats]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data-dir", str(data_dir), "--problem", problem, *rats_flag, *extra,
+                  "--threads", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_bad_tau_list_exit_2(self, data_dir, configs, tmp_path, capsys):
+        problem, rats = configs
+        code = main(["sweep", "--data-dir", str(data_dir), "--problem", problem, "--rats", rats,
+                     "--tau-g", "0.5,-1", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "--tau-g" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, data_dir, configs, tmp_path, monkeypatch):
+        import ratpo.cli as cli_mod
+
+        problem, rats = configs
+
+        def broken(cfg, prob):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli_mod.swarm_mod, "run", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["optimize", "--data-dir", str(data_dir), "--problem", problem, "--rats", rats,
+                  "--out", str(tmp_path / "run")])
 
 
 class TestGen:
@@ -132,6 +259,20 @@ class TestOptimize:
             slot_total[row["instrument_id"]] = slot_total.get(row["instrument_id"], 0) + row["notional"]
         merged = {leg["instrument_id"]: leg["notional"] for leg in result["strategy"]}
         assert {k: v for k, v in slot_total.items() if v != 0} == merged
+
+    def test_pnl_hist_reproduces_var_and_mean(self, data_dir, configs, tmp_path):
+        problem, _ = configs
+        rats = write_json(tmp_path / "rats30.json", {"particles": 30, "k_max": 60})
+        rank = var_index(VarConfig(0.01, 0.99, 250))
+        for seed in range(10):
+            out = tmp_path / f"run{seed}"
+            assert main(["optimize", "--data-dir", str(data_dir), "--problem", problem,
+                         "--rats", rats, "--seed", str(seed), "--out", str(out)]) == 0
+            result = json.loads((out / "result.json").read_text())
+            with open(out / "pnl_hist.csv") as fh:
+                total = np.array([float(r["total_pnl"]) for r in csv.DictReader(fh)])
+            assert np.sort(total)[rank - 1] == result["beta_var"], seed
+            assert total.mean() == result["mean_pnl"], seed
 
     def test_zero_iteration_budget(self, data_dir, configs, tmp_path):
         problem, _ = configs

@@ -56,12 +56,6 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="threads"):
             enumerate_space(toy_problem, budget=1000, threads=0)
 
-    def test_reverse_order_gives_same_optimum(self, toy_problem):
-        fwd = enumerate_space(toy_problem, budget=1000, block_size=37)
-        rev = enumerate_space(toy_problem, budget=1000, block_size=37, reverse=True)
-        assert fwd.optimal_fitness == rev.optimal_fitness
-        assert len(fwd.optimal_positions) == len(rev.optimal_positions)
-
     def test_threaded_enumeration_matches_sequential(self, toy_problem):
         seq = enumerate_space(toy_problem, budget=1000, block_size=57)
         par = enumerate_space(toy_problem, budget=1000, block_size=57, threads=4)

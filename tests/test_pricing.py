@@ -229,8 +229,8 @@ class TestBaroneAdesiWhaleyAgainstScalarReference:
         monkeypatch.setattr(pricing, "barone_adesi_whaley", spy)
         FeatureLab(dataset.market, dataset.scenarios, dataset.universe_specs).build_table(american)
         sizes = sorted(np.broadcast(*args).size for args in calls)
-        # Per leg: the base value, the four bump states and the 250 scenarios.
-        assert sizes == [1] * len(american) + [4] * len(american) + [250] * len(american)
+        # Per leg: one call over the four bump states (the base first) and the 250 scenarios.
+        assert sizes == [254] * len(american)
         for args in calls:
             assert_matches_scalar_reference(*args)
 
