@@ -392,8 +392,8 @@ class BatchEvaluator:
         self._groups = structure.range_groups()
 
     def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate a (p, 2m) int position matrix; returns per-row arrays, the
-        (p, scenarios) total P&L from which mean and VaR were taken among them.
+        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
+        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
 
         The accumulation runs slot by slot in a fixed order so every row's
         arithmetic is independent of the batch it arrived in.
