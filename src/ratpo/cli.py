@@ -24,13 +24,14 @@ from typing import Optional, Sequence
 
 from . import datagen, fileio, oracle as oracle_mod, swarm as swarm_mod
 from .features import FeatureError, FeatureLab, aggregate
-from .instruments import UniverseError, build_universe, is_uei_id, parse_descriptor_id, parse_static_id
+from .instruments import QuoteError, UniverseError, build_universe, is_uei_id, parse_descriptor_id, parse_static_id
 from .pricing import PricingError
 from .problem import (
     ConstraintSpec,
     ProblemInstance,
     StructureError,
     build_structure,
+    check_epsilon,
     notional_grid,
     riskfree_pnl,
 )
@@ -114,6 +115,7 @@ def load_problem_config(path: Optional[str]) -> ProblemConfig:
         ConstraintSpec(cfg.tau_delta, cfg.tau_vega, cfg.tau_gamma, 0.0, 0.0, 0.0,
                        cfg.penalty_delta, cfg.penalty_vega, cfg.penalty_gamma)
         riskfree_pnl(0.0, 0.0, cfg.daycount)
+        check_epsilon(cfg.epsilon)
         notional_grid(1, cfg.grid_points)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -148,6 +150,8 @@ def build_problem(data_dir: str, cfg: ProblemConfig) -> ProblemInstance:
     _check_inputs(dataset, paths)
     try:
         return assemble_problem(dataset, cfg)
+    except QuoteError as exc:
+        raise fileio.SchemaError(paths["market.json"], str(exc)) from exc
     except (FeatureError, PricingError, StructureError, UniverseError) as exc:
         # Raised on inputs the loaders accept but that cannot be priced or sized.
         raise ConfigError(f"{data}: {exc}") from exc

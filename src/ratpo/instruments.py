@@ -46,6 +46,10 @@ class UniverseError(ValueError):
     """Raised for malformed universe specifications."""
 
 
+class QuoteError(ValueError):
+    """Raised when the market data lacks a vol or vol-spread point an instrument needs."""
+
+
 @dataclass(frozen=True)
 class UeiDescriptor:
     """Parameter tuple uniquely identifying one eligible instrument.
@@ -332,13 +336,13 @@ class UnderlyingMarket:
         key = (strike_delta_pct, tenor_days)
         if key in self.vol:
             return float(self.vol[key])
-        raise KeyError(f"no vol quoted for (K={strike_delta_pct}, T={tenor_days})")
+        raise QuoteError(f"no vol quoted for (K={strike_delta_pct}, T={tenor_days})")
 
     def vol_spread_for(self, strike_delta_pct: float) -> float:
         try:
             return float(self.vol_spread_by_strike[strike_delta_pct])
         except KeyError:
-            raise KeyError(f"no vol spread quoted for K={strike_delta_pct}") from None
+            raise QuoteError(f"no vol spread quoted for K={strike_delta_pct}") from None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .features import FeatureTable, PortfolioFeatures
 from .instruments import Category, Kind, Portfolio, UeiDescriptor, UnderlyingSpec, descriptor_id
@@ -300,6 +301,14 @@ def riskfree_pnl(portfolio_value: float, rate: float, day_count: int) -> float:
     return portfolio_value * rate / day_count
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The degenerate-denominator margin must be finite and non-negative: a NaN
+    would make every ``denominator >= -epsilon`` test false and switch the
+    guard off."""
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class EvalBreakdown:
     fitness: float
@@ -333,6 +342,7 @@ class ProblemInstance:
     evaluator: BatchEvaluator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_epsilon(self.epsilon)
         if self.init.pnl.shape != (self.var_cfg.count,):
             raise ValueError("initial portfolio P&L length does not match the scenario count")
         if max(slot.upper for slot in self.structure.slots) > len(self.universe_ids):
@@ -346,9 +356,8 @@ class ProblemInstance:
         """One position's breakdown, evaluated as a batch of one.
 
         Raises :class:`StructureError` on a wrong-length or out-of-bounds
-        position, as :meth:`EosStructure.legs` does.
+        position, as :meth:`BatchEvaluator.evaluate` does.
         """
-        self.structure.legs(x, self.universe_ids)
         row = self.evaluator.evaluate(np.asarray(x, dtype=np.int64)[None, :])
         return EvalBreakdown(
             float(row["fitness"][0]), float(row["objective"][0]), float(row["mean"][0]),
@@ -368,55 +377,83 @@ class BatchEvaluator:
     is (|sensitivity| - limit)_+ / limit (infinite for a zero limit with a
     nonzero sensitivity); fitness = objective + sum of weighted violations.
 
-    Results are row-wise deterministic: each position's numbers are computed
-    by the same fixed per-slot accumulation order no matter how the batch is
-    chunked, so multi-threaded callers get bit-identical output.
+    The linear features come from one sparse product.  ``features`` stacks,
+    for each of the U universe instruments, its S scenario P&Ls followed by
+    its Delta, Vega and Gamma, and adds row U: the initial book's P&L
+    followed by three zeros.  A batch of p positions becomes a (p, U + 1)
+    CSR matrix built straight from ``(data, indices, indptr)``: row r holds
+    the initial book (index U, coefficient 1) and then one entry per slot,
+    in slot order, with the slot's notional as coefficient.  Duplicate picks
+    stay separate entries and the matrix is never canonicalized, so
+    ``csr @ features`` accumulates every row as
+    ``((0 + init) + n_1 f_1) + ... + n_m f_m``, slot by slot, exactly like a
+    per-slot loop.  That makes each row's numbers independent of the batch it
+    arrived in, so multi-threaded callers get bit-identical output.  A dense
+    product (one-hot matrix times ``features``) is not used: BLAS gives no
+    row-wise summation-order guarantee.
     """
 
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         arrays = problem.table.arrays(problem.universe_ids)
-        self._pnl = np.ascontiguousarray(arrays["pnl"])
-        self._delta = arrays["delta"]
-        self._vega = arrays["vega"]
-        self._gamma = arrays["gamma"]
+        u, s = arrays["pnl"].shape[0], problem.var_cfg.count
+        self._features = np.zeros((u + 1, s + 3))
+        self._features[:u, :s] = arrays["pnl"]
+        self._features[:u, s:] = np.stack([arrays["delta"], arrays["vega"], arrays["gamma"]], axis=1)
+        self._features[u, :s] = problem.init.pnl
+        self._init_row = u
         self._cost = arrays["cost"]
 
         structure = problem.structure
         self.m = structure.m
         self._slot_rows = np.arange(self.m)
         self._grids = structure.grid_matrix().astype(float)
+        self._lower, self._upper = structure.position_bounds()
         self._rank = var_index(problem.var_cfg)
         self._limits = np.array(problem.constraints.limits)
         self._penalties = np.array(problem.constraints.penalties)
         self._groups = structure.range_groups()
 
+    def _check(self, positions: np.ndarray) -> None:
+        """Reject a batch that is not (p, 2m) integers within the structure's bounds.
+
+        The sparse product reads ``features`` rows by these indices without
+        bounds checks, so nothing out of bounds may reach it.
+        """
+        if positions.ndim != 2 or positions.shape[1] != 2 * self.m:
+            raise StructureError(f"positions must have shape (p, {2 * self.m}), got {positions.shape}")
+        if not np.issubdtype(positions.dtype, np.integer):
+            raise StructureError(f"positions must be integers, got dtype {positions.dtype}")
+        outside = (positions < self._lower) | (positions > self._upper)
+        if outside.any():
+            r, c = np.argwhere(outside)[0]
+            raise StructureError(f"row {r}, entry {c}: {positions[r, c]} outside "
+                                 f"[{self._lower[c]}, {self._upper[c]}]")
+
     def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
         under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
 
-        The accumulation runs slot by slot in a fixed order so every row's
-        arithmetic is independent of the batch it arrived in.
+        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
+        entry in any row.
         """
         positions = np.asarray(positions)
+        self._check(positions)
         p = positions.shape[0]
         m = self.m
         idx = positions[:, :m] - 1
         notion = self._grids[self._slot_rows, positions[:, m:]]
 
-        total_pnl = np.repeat(self.problem.init.pnl[None, :], p, axis=0)
-        buf = np.empty_like(total_pnl)
-        delta = np.zeros(p)
-        vega = np.zeros(p)
-        gamma = np.zeros(p)
-        for j in range(m):
-            rows = idx[:, j]
-            np.take(self._pnl, rows, axis=0, out=buf)
-            buf *= notion[:, j, None]
-            total_pnl += buf
-            delta += notion[:, j] * self._delta[rows]
-            vega += notion[:, j] * self._vega[rows]
-            gamma += notion[:, j] * self._gamma[rows]
+        indices = np.empty((p, m + 1), dtype=np.int64)
+        indices[:, 0] = self._init_row
+        indices[:, 1:] = idx
+        data = np.empty((p, m + 1))
+        data[:, 0] = 1.0
+        data[:, 1:] = notion
+        indptr = np.arange(0, p * (m + 1) + 1, m + 1)
+        weights = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
+        linear = weights @ self._features
+        total_pnl, sens = linear[:, :-3], linear[:, -3:]
 
         # Cost is the one non-linear feature: duplicate instrument picks must
         # be merged before taking absolute notionals.  Duplicates can only
@@ -446,7 +483,6 @@ class BatchEvaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.where(degenerate, np.inf, (mean - self.problem.pnl_rf - cost) / denominator)
 
-        sens = np.stack([delta, vega, gamma], axis=1)
         limits = self._limits[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             psi = np.where(

@@ -1,9 +1,14 @@
-"""Independent scalar reference for the fitness that ``BatchEvaluator`` computes.
+"""References for the fitness that ``BatchEvaluator`` computes.
 
-It decodes one position into a merged strategy portfolio, aggregates its
-features leg by leg and applies the objective, the normalized violations and
-the penalty term one scalar at a time.  Tests compare the production batch
-path against it, so it shares no arithmetic with ``ratpo.problem``.
+:func:`evaluate` is an independent scalar reference: it decodes one position
+into a merged strategy portfolio, aggregates its features leg by leg and
+applies the objective, the normalized violations and the penalty term one
+scalar at a time, so it shares no arithmetic with ``ratpo.problem``.
+
+:func:`slot_loop_evaluate` is the batch evaluator as it was before the sparse
+product: the P&L and the Greeks accumulate in a Python loop over slots.  Its
+summation order is the one the sparse product must keep, so tests compare
+the two byte for byte.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from ratpo.features import PortfolioFeatures, aggregate
 from ratpo.problem import ConstraintSpec, EvalBreakdown, ProblemInstance
-from ratpo.risk import VarConfig, beta_var, sample_pnl
+from ratpo.risk import VarConfig, beta_var, sample_pnl, var_index
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -72,3 +79,85 @@ def evaluate(problem: ProblemInstance, x: Sequence[int]) -> EvalBreakdown:
         return EvalBreakdown(math.inf, math.inf, mean, var, eos.cost, psi)
     fitness = f + penalty_term(psi, problem.constraints.penalties)
     return EvalBreakdown(fitness, f, mean, var, eos.cost, psi)
+
+
+def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[str, np.ndarray]:
+    """The batch fitness with the per-slot P&L and Greek loop; same keys as
+    ``BatchEvaluator.evaluate``.  Positions must be in bounds."""
+    arrays = problem.table.arrays(problem.universe_ids)
+    pnl_table = np.ascontiguousarray(arrays["pnl"])
+    delta_table, vega_table, gamma_table = arrays["delta"], arrays["vega"], arrays["gamma"]
+    cost_table = arrays["cost"]
+    structure = problem.structure
+    m = structure.m
+    grids = structure.grid_matrix().astype(float)
+    rank = var_index(problem.var_cfg)
+    limits = np.array(problem.constraints.limits)[None, :]
+    penalties = np.array(problem.constraints.penalties)
+
+    positions = np.asarray(positions)
+    p = positions.shape[0]
+    idx = positions[:, :m] - 1
+    notion = grids[np.arange(m), positions[:, m:]]
+
+    total_pnl = np.repeat(problem.init.pnl[None, :], p, axis=0)
+    buf = np.empty_like(total_pnl)
+    delta = np.zeros(p)
+    vega = np.zeros(p)
+    gamma = np.zeros(p)
+    for j in range(m):
+        rows = idx[:, j]
+        np.take(pnl_table, rows, axis=0, out=buf)
+        buf *= notion[:, j, None]
+        total_pnl += buf
+        delta += notion[:, j] * delta_table[rows]
+        vega += notion[:, j] * vega_table[rows]
+        gamma += notion[:, j] * gamma_table[rows]
+
+    cost = np.zeros(p)
+    for group in structure.range_groups():
+        if len(group) == 1:
+            j = group[0]
+            cost += cost_table[idx[:, j]] * np.abs(notion[:, j])
+        else:
+            j1, j2 = group
+            i1, i2 = idx[:, j1], idx[:, j2]
+            n1, n2 = notion[:, j1], notion[:, j2]
+            merged = cost_table[i1] * np.abs(n1 + n2)
+            split = cost_table[i1] * np.abs(n1) + cost_table[i2] * np.abs(n2)
+            cost += np.where(i1 == i2, merged, split)
+
+    mean = total_pnl.mean(axis=1)
+    if rank == 1:
+        var = total_pnl.min(axis=1)
+    else:
+        var = np.partition(total_pnl, rank - 1, axis=1)[:, rank - 1]
+
+    denominator = var - cost
+    degenerate = denominator >= -problem.epsilon
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(degenerate, np.inf, (mean - problem.pnl_rf - cost) / denominator)
+
+    sens = np.stack([delta, vega, gamma], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = np.where(
+            limits > 0.0,
+            np.maximum(np.abs(sens) - limits, 0.0) / limits,
+            np.where(np.abs(sens) > 0.0, np.inf, 0.0),
+        )
+    penalty = np.zeros(p)
+    for k in range(3):
+        lam = penalties[k]
+        if lam > 0.0:
+            penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
+    fitness = f + penalty
+    return {
+        "fitness": fitness,
+        "objective": f,
+        "mean": mean,
+        "var": var,
+        "cost": cost,
+        "psi": psi,
+        "feasible": np.all(psi == 0.0, axis=1),
+        "pnl": total_pnl,
+    }

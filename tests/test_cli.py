@@ -123,10 +123,15 @@ class TestBadInputFiles:
         (_append_leg("NOPE|s"), "portfolio.csv"),
         (_drop_scenario_columns("IBM.N"), "scenarios.csv"),
         (_drop_scenario_columns(".STOXX50E"), "scenarios.csv"),
+        (_set("market.json", "underlyings", ".FTMIB", "vol", value={"0.50": {"021": 0.2}}), "market.json"),
+        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": {"021": 0.2}}), "market.json"),
+        (_set("market.json", "underlyings", ".STOXX50E", "vol_spread_by_strike", value={"0.10": 0.006}),
+         "market.json"),
     ], ids=["market-underlyings-list", "market-currencies-list", "vol-strike-not-object",
             "vol-spreads-list", "tenor-float", "tenor-bool", "tenor-string", "universe-empty",
             "missing-file", "non-utf8", "malformed-id", "unknown-ticker",
-            "scenarios-lack-book-ticker", "scenarios-lack-universe-ticker"])
+            "scenarios-lack-book-ticker", "scenarios-lack-universe-ticker",
+            "book-vol-point-missing", "universe-vol-point-missing", "vol-spread-point-missing"])
     def test_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, mutate, culprit):
         problem, _ = configs
         data = tmp_path / "data"
@@ -142,8 +147,9 @@ class TestBadConfigs:
     @pytest.mark.parametrize("payload", [
         {"beta": "x"}, {"grid_points": "9"}, {"beta": 2}, {"tau_g": -1}, {"daycount": 300},
         {"grid_points": 8}, [1], {"universe_tickers": []}, {"derive_bounds": 1},
+        {"epsilon": math.nan}, {"epsilon": math.inf}, {"epsilon": -1e-9},
     ], ids=["beta-string", "grid-string", "beta-range", "tau-range", "daycount", "grid-even",
-            "array", "no-tickers", "bounds-int"])
+            "array", "no-tickers", "bounds-int", "epsilon-nan", "epsilon-inf", "epsilon-negative"])
     def test_problem_config_exit_2_names_file(self, data_dir, tmp_path, capsys, payload):
         path = write_json(tmp_path / "problem.json", payload)
         code = main(["features", "--data-dir", str(data_dir), "--problem", path,

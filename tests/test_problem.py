@@ -211,13 +211,19 @@ class TestDecode:
         }
 
     def test_out_of_range_entries_rejected(self, toy_problem):
-        for method in (toy_problem.decode, toy_problem.evaluate):
-            with pytest.raises(StructureError):
-                method([0, 1, 3, 2, 2, 1])
-            with pytest.raises(StructureError):
-                method([1, 1, 3, 5, 2, 1])
-            with pytest.raises(StructureError):
-                method([1, 1, 3, 2, 2])
+        def batch_of_one(x):
+            return toy_problem.evaluator.evaluate(np.array([x]))
+
+        for method in (toy_problem.decode, toy_problem.evaluate, batch_of_one):
+            for x in (
+                [0, 1, 3, 2, 2, 1],  # universe index 0 would wrap to the last instrument
+                [1, 1, 3, 5, 2, 1],
+                [1, 1, 3, 2, 2, 4],  # grid index 4 on the 3-point linear slot would read grid padding
+                [1, 1, 1, 2, 2, 1],  # the linear slot would read an option
+                [1, 1, 3, 2, 2],
+            ):
+                with pytest.raises(StructureError):
+                    method(x)
 
 
 class TestObjective:
@@ -387,6 +393,13 @@ class TestBatchEvaluator:
         # +2/+1 on the same instrument: cost of net 3 units.
         res = ev.evaluate(np.array([[1, 1, 3, 4, 3, 1]]))
         assert res["cost"][0] == 3.0
+
+    def test_one_bad_row_rejects_the_batch(self, toy_problem):
+        lo, hi = toy_problem.structure.position_bounds()
+        X = np.random.default_rng(6).integers(lo, hi + 1, size=(50, 6), dtype=np.int64)
+        X[17, 5] = 3
+        with pytest.raises(StructureError, match="row 17, entry 5"):
+            toy_problem.evaluator.evaluate(X)
 
     def test_feasibility_closed_under_negation(self, toy_problem):
         ev = BatchEvaluator(toy_problem)
