@@ -13,8 +13,9 @@ additive rate).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .instruments import (
     Kind,
     MarketData,
     Portfolio,
+    QuoteError,
     ScenarioSet,
     UeiDescriptor,
     UnderlyingSpec,
@@ -140,6 +142,16 @@ def aggregate(table: FeatureTable, portfolio: Portfolio) -> PortfolioFeatures:
     return PortfolioFeatures(value, pnl, delta, vega, gamma, cost)
 
 
+@contextmanager
+def _quotes_of(ticker: str) -> Iterator[None]:
+    """Name the underlying in a missing-quote error: surfaces of several
+    tickers quote the same (strike, tenor) points."""
+    try:
+        yield
+    except QuoteError as exc:
+        raise QuoteError(f"{ticker}: {exc}") from None
+
+
 class FeatureLab:
     """Computes instrument features from market data and scenarios.
 
@@ -184,9 +196,10 @@ class FeatureLab:
     def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor) -> float:
         u = self.market.underlying(ticker)
         tau = d.tenor_days / self.day_count
+        with _quotes_of(ticker):
+            vol = u.vol_for(d.strike_delta_pct, d.tenor_days)
         return pricing.strike_from_delta(
-            u.spot, tau, self.market.rate_for(ticker), u.div_yield,
-            u.vol_for(d.strike_delta_pct, d.tenor_days), d.strike_delta_pct, d.kind,
+            u.spot, tau, self.market.rate_for(ticker), u.div_yield, vol, d.strike_delta_pct, d.kind,
         )
 
     def _vol_for(self, ticker: str, strike_delta_pct: Optional[float], tenor_days: Optional[int]) -> float:
@@ -205,7 +218,8 @@ class FeatureLab:
         u = self.market.underlying(ticker)
         rate = self.market.rate_for(ticker)
         tau = 0.0 if tenor_days is None else tenor_days / self.day_count
-        vol = self._vol_for(ticker, strike_pct, tenor_days)
+        with _quotes_of(ticker):
+            vol = self._vol_for(ticker, strike_pct, tenor_days)
         base = PricingInputs(
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
             strike=strike_abs, kind=kind, exercise=exercise,
@@ -223,7 +237,8 @@ class FeatureLab:
         )
         v0 = float(values[0])
         delta, vega, gamma = pricing.greeks_from(values)
-        cost = self._unit_cost(u, kind, delta, vega, strike_pct)
+        with _quotes_of(ticker):
+            cost = self._unit_cost(u, kind, delta, vega, strike_pct)
         return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
 
     def _unit_cost(

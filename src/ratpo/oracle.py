@@ -1,9 +1,18 @@
 """Exhaustive enumeration of the strategy space on small instances.
 
 Walks the slot-range x grid-index product in lexicographic order (last digit
-fastest), evaluating fitness in vectorized blocks.  Blocks may be evaluated
-in parallel; the reduction over block summaries is sequential and therefore
-deterministic.  Exactness is the point here, speed is secondary.
+fastest) in blocks.  Each block is scanned feasibility-first: the three
+linear Greek sums, and with them every position's violations, come from
+:meth:`BatchEvaluator.violations`, and the full fitness (P&L, VaR, cost) is
+evaluated only on the feasible positions.  Those Greek sums are bit-identical
+to the ones :meth:`BatchEvaluator.evaluate` computes, so the optimum and the
+optimal set are the ones a full scan finds.  The empty position is feasible
+for any limits and always enumerated, so the status is always ``"optimal"``;
+when every feasible position's denominator is degenerate, they all tie at an
+infinite optimum.
+
+Blocks may be scanned in parallel; the reduction over block summaries is
+sequential and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import ProblemInstance, search_space_size
+from .problem import ProblemInstance, feasible_rows, search_space_size
 
 #: Positions kept in the optimal set before truncation kicks in.
 MAX_OPTIMAL_SET = 100_000
@@ -34,7 +43,7 @@ class OracleResult:
     optimal_positions: list[np.ndarray]
     count: int
     wall_seconds: float
-    status: str  # "optimal" or "no_feasible"
+    status: str  # always "optimal": the empty position is feasible
     truncated: bool = False
 
 
@@ -42,8 +51,6 @@ class OracleResult:
 class _BlockSummary:
     best_fit: float
     candidates: list[tuple[float, np.ndarray]]
-    best_violation: float
-    best_violation_pos: Optional[np.ndarray]
 
 
 class Enumerator:
@@ -67,21 +74,13 @@ class Enumerator:
 
     def _scan_block(self, start: int, stop: int, tau_eq: float) -> _BlockSummary:
         positions = self.positions_for(start, stop)
-        res = self.evaluator.evaluate(positions)
-        feasible = res["feasible"]
-        summary = _BlockSummary(np.inf, [], np.inf, None)
-        if feasible.any():
-            fit = np.where(feasible, res["fitness"], np.inf)
-            best = float(fit.min())
-            summary.best_fit = best
-            near = np.flatnonzero(fit <= best + tau_eq)
-            summary.candidates = [(float(fit[i]), positions[i].copy()) for i in near]
-        else:
-            total_psi = res["psi"].sum(axis=1)
-            i = int(np.argmin(total_psi))
-            summary.best_violation = float(total_psi[i])
-            summary.best_violation_pos = positions[i].copy()
-        return summary
+        feasible = positions[feasible_rows(self.evaluator.violations(positions))]
+        if not feasible.size:
+            return _BlockSummary(np.inf, [])
+        fit = self.evaluator.evaluate(feasible)["fitness"]
+        best = float(fit.min())
+        near = np.flatnonzero(fit <= best + tau_eq)
+        return _BlockSummary(best, [(float(fit[i]), feasible[i].copy()) for i in near])
 
     def enumerate(
         self,
@@ -115,8 +114,6 @@ class Enumerator:
 
         best_fit = np.inf
         candidates: list[tuple[float, np.ndarray]] = []
-        best_violation = np.inf
-        best_violation_pos: Optional[np.ndarray] = None
         truncated = False
         for s in summaries:
             if s.best_fit < best_fit - tau_eq:
@@ -128,14 +125,8 @@ class Enumerator:
             if len(candidates) > MAX_OPTIMAL_SET:
                 candidates = candidates[:MAX_OPTIMAL_SET]
                 truncated = True
-            if s.best_violation < best_violation:
-                best_violation = s.best_violation
-                best_violation_pos = s.best_violation_pos
 
         wall = time.perf_counter() - t0
-        if not np.isfinite(best_fit):
-            positions = [best_violation_pos] if best_violation_pos is not None else []
-            return OracleResult(np.inf, positions, self.total, wall, "no_feasible", truncated)
         kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
         return OracleResult(float(best_fit), kept, self.total, wall, "optimal", truncated)
 

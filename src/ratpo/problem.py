@@ -401,6 +401,7 @@ class BatchEvaluator:
         self._features[:u, :s] = arrays["pnl"]
         self._features[:u, s:] = np.stack([arrays["delta"], arrays["vega"], arrays["gamma"]], axis=1)
         self._features[u, :s] = problem.init.pnl
+        self._greeks = np.ascontiguousarray(self._features[:, s:])
         self._init_row = u
         self._cost = arrays["cost"]
 
@@ -411,6 +412,9 @@ class BatchEvaluator:
         self._lower, self._upper = structure.position_bounds()
         self._rank = var_index(problem.var_cfg)
         self._limits = np.array(problem.constraints.limits)
+        # A zero limit divides by one; _violations then maps its column to 0 or inf.
+        self._divisors = np.where(self._limits > 0.0, self._limits, 1.0)
+        self._zero_limits = np.flatnonzero(self._limits == 0.0)
         self._penalties = np.array(problem.constraints.penalties)
         self._groups = structure.range_groups()
 
@@ -430,13 +434,9 @@ class BatchEvaluator:
             raise StructureError(f"row {r}, entry {c}: {positions[r, c]} outside "
                                  f"[{self._lower[c]}, {self._upper[c]}]")
 
-    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
-        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
-
-        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
-        entry in any row.
-        """
+    def _weights(self, positions: np.ndarray) -> tuple[sparse.csr_array, np.ndarray, np.ndarray]:
+        """Check a batch and build its (p, U + 1) CSR weights; also returns the
+        (p, m) 0-based instrument indices and notionals."""
         positions = np.asarray(positions)
         self._check(positions)
         p = positions.shape[0]
@@ -452,6 +452,41 @@ class BatchEvaluator:
         data[:, 1:] = notion
         indptr = np.arange(0, p * (m + 1) + 1, m + 1)
         weights = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
+        return weights, idx, notion
+
+    def _violations(self, sens: np.ndarray) -> np.ndarray:
+        """(|sensitivity| - limit)_+ / limit per column; a zero limit gives 0 for
+        a zero sensitivity and inf otherwise."""
+        psi = np.abs(sens)
+        psi -= self._limits
+        np.maximum(psi, 0.0, out=psi)
+        psi /= self._divisors
+        for k in self._zero_limits:
+            psi[:, k] = np.where(psi[:, k] > 0.0, np.inf, 0.0)
+        return psi
+
+    def violations(self, positions: np.ndarray) -> np.ndarray:
+        """The (p, 3) violations of a (p, 2m) int position matrix, from its
+        Greek sums alone; :func:`feasible_rows` turns them into the feasible mask.
+
+        The same CSR weights multiply a contiguous copy of the Delta, Vega and
+        Gamma columns only.  ``csr_matvecs`` sums each output column on its
+        own, entry by entry in row order, so these equal
+        ``evaluate(positions)["psi"]`` bit for bit at a fraction of the cost.
+        Raises :class:`StructureError` as :meth:`evaluate` does.
+        """
+        weights, _, _ = self._weights(positions)
+        return self._violations(weights @ self._greeks)
+
+    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
+        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
+
+        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
+        entry in any row.
+        """
+        weights, idx, notion = self._weights(positions)
+        p = idx.shape[0]
         linear = weights @ self._features
         total_pnl, sens = linear[:, :-3], linear[:, -3:]
 
@@ -483,13 +518,7 @@ class BatchEvaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.where(degenerate, np.inf, (mean - self.problem.pnl_rf - cost) / denominator)
 
-        limits = self._limits[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi = np.where(
-                limits > 0.0,
-                np.maximum(np.abs(sens) - limits, 0.0) / limits,
-                np.where(np.abs(sens) > 0.0, np.inf, 0.0),
-            )
+        psi = self._violations(sens)
         penalty = np.zeros(p)
         for k in range(3):
             lam = self._penalties[k]
@@ -503,6 +532,15 @@ class BatchEvaluator:
             "var": var,
             "cost": cost,
             "psi": psi,
-            "feasible": np.all(psi == 0.0, axis=1),
+            "feasible": feasible_rows(psi),
             "pnl": total_pnl,
         }
+
+
+def feasible_rows(psi: np.ndarray) -> np.ndarray:
+    """A row is feasible when all three of its violations are zero.
+
+    Compared column by column: a reduction over the short row axis costs
+    several times more on large batches.
+    """
+    return (psi[:, 0] == 0.0) & (psi[:, 1] == 0.0) & (psi[:, 2] == 0.0)

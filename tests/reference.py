@@ -9,6 +9,11 @@ scalar at a time, so it shares no arithmetic with ``ratpo.problem``.
 product: the P&L and the Greeks accumulate in a Python loop over slots.  Its
 summation order is the one the sparse product must keep, so tests compare
 the two byte for byte.
+
+:func:`full_scan_enumerate` is the exhaustive oracle as it was before the
+feasibility-first scan: every block runs the full fitness on every position,
+and a space whose best feasible fitness is infinite reports ``"no_feasible"``
+with the least-violation position of the blocks that had no feasible row.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ratpo import oracle
 from ratpo.features import PortfolioFeatures, aggregate
 from ratpo.problem import ConstraintSpec, EvalBreakdown, ProblemInstance
 from ratpo.risk import VarConfig, beta_var, sample_pnl, var_index
@@ -161,3 +167,45 @@ def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[
         "feasible": np.all(psi == 0.0, axis=1),
         "pnl": total_pnl,
     }
+
+
+def full_scan_enumerate(problem: ProblemInstance, tau_eq: float = 1e-12,
+                        block_size: int = 65_536) -> oracle.OracleResult:
+    """Sequential full-scan oracle; truncates at ``oracle.MAX_OPTIMAL_SET`` as read at call time."""
+    en = oracle.Enumerator(problem)
+    best_fit = np.inf
+    candidates: list[tuple[float, np.ndarray]] = []
+    best_violation = np.inf
+    best_violation_pos = None
+    truncated = False
+    for start in range(0, en.total, block_size):
+        positions = en.positions_for(start, min(start + block_size, en.total))
+        res = problem.evaluator.evaluate(positions)
+        feasible = res["feasible"]
+        block_best, block_candidates = np.inf, []
+        if feasible.any():
+            fit = np.where(feasible, res["fitness"], np.inf)
+            block_best = float(fit.min())
+            near = np.flatnonzero(fit <= block_best + tau_eq)
+            block_candidates = [(float(fit[i]), positions[i].copy()) for i in near]
+        else:
+            total_psi = res["psi"].sum(axis=1)
+            i = int(np.argmin(total_psi))
+            if total_psi[i] < best_violation:
+                best_violation, best_violation_pos = float(total_psi[i]), positions[i].copy()
+
+        if block_best < best_fit - tau_eq:
+            best_fit = block_best
+            candidates = [c for c in candidates if c[0] <= best_fit + tau_eq]
+        elif block_best < best_fit:
+            best_fit = block_best
+        candidates.extend(c for c in block_candidates if c[0] <= best_fit + tau_eq)
+        if len(candidates) > oracle.MAX_OPTIMAL_SET:
+            candidates = candidates[:oracle.MAX_OPTIMAL_SET]
+            truncated = True
+
+    if not np.isfinite(best_fit):
+        positions = [best_violation_pos] if best_violation_pos is not None else []
+        return oracle.OracleResult(np.inf, positions, en.total, 0.0, "no_feasible", truncated)
+    kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
+    return oracle.OracleResult(float(best_fit), kept, en.total, 0.0, "optimal", truncated)

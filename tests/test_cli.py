@@ -108,31 +108,32 @@ def _drop_scenario_columns(ticker):
 class TestBadInputFiles:
     """Each malformed input exits 2 with the offending file named on stderr."""
 
-    @pytest.mark.parametrize("mutate, culprit", [
-        (_set("market.json", "underlyings", value=[]), "market.json"),
-        (_set("market.json", "currencies", value=[]), "market.json"),
-        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": 0.2}), "market.json"),
-        (_set("universe.json", 0, "vol_spread_by_strike", value=[0.006, 0.005]), "universe.json"),
-        (_set("universe.json", 0, "tenor_domain", value=[21.5, 49]), "universe.json"),
-        (_set("universe.json", 0, "tenor_domain", value=[True, 49]), "universe.json"),
-        (_set("universe.json", 0, "tenor_domain", value=["21", "49"]), "universe.json"),
-        (_write("universe.json", "[]"), "universe.json"),
-        (lambda data: (data / "scenarios.csv").unlink(), "scenarios.csv"),
-        (_write("portfolio.csv", raw=b"instrument_id,notional\n\xff\xfe,1\n"), "portfolio.csv"),
-        (_append_leg("FOO|z"), "portfolio.csv"),
-        (_append_leg("NOPE|s"), "portfolio.csv"),
-        (_drop_scenario_columns("IBM.N"), "scenarios.csv"),
-        (_drop_scenario_columns(".STOXX50E"), "scenarios.csv"),
-        (_set("market.json", "underlyings", ".FTMIB", "vol", value={"0.50": {"021": 0.2}}), "market.json"),
-        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": {"021": 0.2}}), "market.json"),
+    @pytest.mark.parametrize("mutate, culprit, ticker", [
+        (_set("market.json", "underlyings", value=[]), "market.json", None),
+        (_set("market.json", "currencies", value=[]), "market.json", None),
+        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": 0.2}), "market.json", None),
+        (_set("universe.json", 0, "vol_spread_by_strike", value=[0.006, 0.005]), "universe.json", None),
+        (_set("universe.json", 0, "tenor_domain", value=[21.5, 49]), "universe.json", None),
+        (_set("universe.json", 0, "tenor_domain", value=[True, 49]), "universe.json", None),
+        (_set("universe.json", 0, "tenor_domain", value=["21", "49"]), "universe.json", None),
+        (_write("universe.json", "[]"), "universe.json", None),
+        (lambda data: (data / "scenarios.csv").unlink(), "scenarios.csv", None),
+        (_write("portfolio.csv", raw=b"instrument_id,notional\n\xff\xfe,1\n"), "portfolio.csv", None),
+        (_append_leg("FOO|z"), "portfolio.csv", None),
+        (_append_leg("NOPE|s"), "portfolio.csv", None),
+        (_drop_scenario_columns("IBM.N"), "scenarios.csv", None),
+        (_drop_scenario_columns(".STOXX50E"), "scenarios.csv", None),
+        (_set("market.json", "underlyings", ".FTMIB", "vol", value={"0.50": {"021": 0.2}}), "market.json", ".FTMIB"),
+        (_set("market.json", "underlyings", ".STOXX50E", "vol", value={"0.50": {"021": 0.2}}), "market.json",
+         ".STOXX50E"),
         (_set("market.json", "underlyings", ".STOXX50E", "vol_spread_by_strike", value={"0.10": 0.006}),
-         "market.json"),
+         "market.json", ".STOXX50E"),
     ], ids=["market-underlyings-list", "market-currencies-list", "vol-strike-not-object",
             "vol-spreads-list", "tenor-float", "tenor-bool", "tenor-string", "universe-empty",
             "missing-file", "non-utf8", "malformed-id", "unknown-ticker",
             "scenarios-lack-book-ticker", "scenarios-lack-universe-ticker",
             "book-vol-point-missing", "universe-vol-point-missing", "vol-spread-point-missing"])
-    def test_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, mutate, culprit):
+    def test_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, mutate, culprit, ticker):
         problem, _ = configs
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -140,7 +141,11 @@ class TestBadInputFiles:
         code = main(["features", "--data-dir", str(data), "--problem", problem,
                      "--out", str(tmp_path / "f.csv")])
         assert code == 2
-        assert str(data / culprit) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(data / culprit) in err
+        if ticker is not None:
+            # Both tickers quote vol surfaces over the same points; the message names the one lacking it.
+            assert f"{culprit}: {ticker}: no vol" in err
 
 
 class TestBadConfigs:

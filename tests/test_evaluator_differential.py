@@ -18,6 +18,7 @@ from conftest import build_problem_from_dataset
 
 from ratpo.datagen import gen_dataset
 from ratpo.oracle import Enumerator
+from ratpo.problem import feasible_rows
 from ratpo.risk import VarConfig, var_index
 
 KEYS = ("pnl", "mean", "var", "psi", "fitness", "objective", "cost", "feasible")
@@ -75,3 +76,20 @@ def test_rows_do_not_depend_on_the_batch(table1_problem):
     for i in rng.choice(len(X), size=20, replace=False):
         alone = ev.evaluate(X[i:i + 1])
         assert_same_bytes(alone, {key: full[key][i:i + 1] for key in KEYS})
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_violations_match_evaluate(table1_problem, reduced_problem, tau):
+    """The oracle's Greek-only violations carry the bytes of the full evaluation's,
+    on a table1 batch with duplicate picks and on every reduced position."""
+    for problem, X in ((table1_problem, random_rows(table1_problem, 1000, seed=25)),
+                       (reduced_problem, None)):
+        problem = dataclasses.replace(problem, constraints=dataclasses.replace(
+            problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
+        enumerator = Enumerator(problem)
+        blocks = [X] if X is not None else [enumerator.positions_for(a, min(a + 65_536, enumerator.total))
+                                            for a in range(0, enumerator.total, 65_536)]
+        for block in blocks:
+            psi = problem.evaluator.violations(block)
+            full = problem.evaluator.evaluate(block)
+            assert_same_bytes({"psi": psi, "feasible": feasible_rows(psi)}, full, keys=("psi", "feasible"))

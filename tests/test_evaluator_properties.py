@@ -113,12 +113,25 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 def test_batch_matches_scalar_reference(problem, seed):
     rows = random_rows(problem, seed)
     res = problem.evaluator.evaluate(rows)
+    assert problem.evaluator.violations(rows).tobytes() == res["psi"].tobytes()
     for r, x in enumerate(rows):
         ref = reference.evaluate(problem, x)
         assert res["var"][r] == ref.var
         assert bool(res["feasible"][r]) == ref.feasible
         assert close(res["cost"][r], ref.cost)
         assert close(res["fitness"][r], ref.fitness)
+
+
+@SETTINGS
+@given(problems(), st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3))
+def test_empty_position_is_feasible_for_any_limits(problem, taus):
+    """Every grid holds 0 and the initial book's row carries no Greeks, so the
+    empty position has zero Greek sums: the oracle always has a feasible optimum."""
+    problem = dataclasses.replace(problem, constraints=dataclasses.replace(
+        problem.constraints, tau_delta=taus[0], tau_vega=taus[1], tau_gamma=taus[2]))
+    empty = problem.empty_position()[None, :]
+    assert not problem.evaluator.violations(empty).any()
+    assert problem.evaluator.evaluate(empty)["feasible"].all()
 
 
 def test_strategy_covers_the_named_cases():

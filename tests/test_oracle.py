@@ -48,6 +48,18 @@ class TestEnumeration:
         for pos in result.optimal_positions:
             assert toy_problem.evaluate(pos).feasible
 
+    def test_zero_limits_keep_the_empty_position_optimal(self, reduced_problem):
+        # At tau = 0 only positions with all three Greek sums exactly zero are feasible;
+        # the empty position is one of them, so the result is always "optimal".
+        c = reduced_problem.constraints
+        reduced = dataclasses.replace(reduced_problem, constraints=dataclasses.replace(
+            c, tau_delta=0.0, tau_vega=0.0, tau_gamma=0.0))
+        for problem in (make_toy_problem(tau=0.0), reduced):
+            result = enumerate_space(problem, budget=10**6, threads=2)
+            assert result.status == "optimal" and np.isfinite(result.optimal_fitness)
+            empty = problem.empty_position().tolist()
+            assert empty in [p.tolist() for p in result.optimal_positions]
+
     def test_budget_exceeded(self, toy_problem):
         with pytest.raises(BudgetExceeded):
             enumerate_space(toy_problem, budget=10)
