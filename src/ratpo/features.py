@@ -13,9 +13,8 @@ additive rate).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -142,14 +141,10 @@ def aggregate(table: FeatureTable, portfolio: Portfolio) -> PortfolioFeatures:
     return PortfolioFeatures(value, pnl, delta, vega, gamma, cost)
 
 
-@contextmanager
-def _quotes_of(ticker: str) -> Iterator[None]:
-    """Name the underlying in a missing-quote error: surfaces of several
-    tickers quote the same (strike, tenor) points."""
-    try:
-        yield
-    except QuoteError as exc:
-        raise QuoteError(f"{ticker}: {exc}") from None
+def _naming(ticker: str, exc: QuoteError) -> QuoteError:
+    """A missing-quote error that names its underlying: the vol surfaces of
+    several tickers quote the same (strike, tenor) points."""
+    return QuoteError(f"{ticker}: {exc}")
 
 
 class FeatureLab:
@@ -196,20 +191,21 @@ class FeatureLab:
     def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor) -> float:
         u = self.market.underlying(ticker)
         tau = d.tenor_days / self.day_count
-        with _quotes_of(ticker):
-            vol = u.vol_for(d.strike_delta_pct, d.tenor_days)
         return pricing.strike_from_delta(
-            u.spot, tau, self.market.rate_for(ticker), u.div_yield, vol, d.strike_delta_pct, d.kind,
+            u.spot, tau, self.market.rate_for(ticker), u.div_yield,
+            self._vol_for(ticker, d.strike_delta_pct, d.tenor_days), d.strike_delta_pct, d.kind,
         )
 
     def _vol_for(self, ticker: str, strike_delta_pct: Optional[float], tenor_days: Optional[int]) -> float:
         u = self.market.underlying(ticker)
-        if strike_delta_pct is not None:
-            return u.vol_for(strike_delta_pct, tenor_days)
         if not isinstance(u.vol, Mapping):
             return float(u.vol)
         # Static instruments quote absolute strikes; price them off the ATM point.
-        return u.vol_for(0.50, tenor_days)
+        strike = 0.50 if strike_delta_pct is None else strike_delta_pct
+        try:
+            return u.vol_for(strike, tenor_days)
+        except QuoteError as exc:
+            raise _naming(ticker, exc) from None
 
     # -- features -----------------------------------------------------------
 
@@ -218,8 +214,7 @@ class FeatureLab:
         u = self.market.underlying(ticker)
         rate = self.market.rate_for(ticker)
         tau = 0.0 if tenor_days is None else tenor_days / self.day_count
-        with _quotes_of(ticker):
-            vol = self._vol_for(ticker, strike_pct, tenor_days)
+        vol = self._vol_for(ticker, strike_pct, tenor_days)
         base = PricingInputs(
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
             strike=strike_abs, kind=kind, exercise=exercise,
@@ -237,8 +232,10 @@ class FeatureLab:
         )
         v0 = float(values[0])
         delta, vega, gamma = pricing.greeks_from(values)
-        with _quotes_of(ticker):
+        try:
             cost = self._unit_cost(u, kind, delta, vega, strike_pct)
+        except QuoteError as exc:
+            raise _naming(ticker, exc) from None
         return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
 
     def _unit_cost(

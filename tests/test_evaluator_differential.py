@@ -78,17 +78,20 @@ def test_rows_do_not_depend_on_the_batch(table1_problem):
         assert_same_bytes(alone, {key: full[key][i:i + 1] for key in KEYS})
 
 
+def every_block(problem) -> list[np.ndarray]:
+    enumerator = Enumerator(problem)
+    return [enumerator.positions_for(a, min(a + 65_536, enumerator.total))
+            for a in range(0, enumerator.total, 65_536)]
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_violations_match_evaluate(table1_problem, reduced_problem, tau):
     """The oracle's Greek-only violations carry the bytes of the full evaluation's,
     on a table1 batch with duplicate picks and on every reduced position."""
-    for problem, X in ((table1_problem, random_rows(table1_problem, 1000, seed=25)),
-                       (reduced_problem, None)):
+    for problem, blocks in ((table1_problem, [random_rows(table1_problem, 1000, seed=25)]),
+                            (reduced_problem, every_block(reduced_problem))):
         problem = dataclasses.replace(problem, constraints=dataclasses.replace(
             problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
-        enumerator = Enumerator(problem)
-        blocks = [X] if X is not None else [enumerator.positions_for(a, min(a + 65_536, enumerator.total))
-                                            for a in range(0, enumerator.total, 65_536)]
         for block in blocks:
             psi = problem.evaluator.violations(block)
             full = problem.evaluator.evaluate(block)
