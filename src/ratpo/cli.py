@@ -337,7 +337,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             writer.writerow(head + [instrument_id, notional])
     (out / "oracle.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
     print(f"oracle: optimum {result.optimal_fitness:.6f} over {result.count} positions "
-          f"({len(result.optimal_positions)} optimal, {result.wall_seconds:.2f}s)")
+          f"({result.feasible} feasible, {len(result.optimal_positions)} optimal, "
+          f"{result.wall_seconds:.2f}s)")
     return 0
 
 

@@ -1,18 +1,20 @@
 """Exhaustive enumeration of the strategy space on small instances.
 
 Walks the slot-range x grid-index product in lexicographic order (last digit
-fastest) in blocks.  Each block is scanned feasibility-first: the three
-linear Greek sums, and with them every position's violations, come from
-:meth:`BatchEvaluator.violations`, and the full fitness (P&L, VaR, cost) is
-evaluated only on the feasible positions.  Those Greek sums are bit-identical
-to the ones :meth:`BatchEvaluator.evaluate` computes, so the optimum and the
-optimal set are the ones a full scan finds.  The empty position is feasible
-for any limits and always enumerated, so the status is always ``"optimal"``;
-when every feasible position's denominator is degenerate, they all tie at an
+fastest).  The scan is feasibility-first.  First the whole box's feasible
+mask comes from :meth:`BatchEvaluator.feasible_slice`, which adds small
+per-slot Greek tables instead of decoding positions, in leading-digit chunks
+of at most ``block_size`` positions.  Then each block of ``block_size`` flat
+indices decodes only its feasible positions and evaluates their full
+fitness (P&L, VaR, cost).  The mask is bit-identical to the one
+:meth:`BatchEvaluator.evaluate` computes, so the optimum and the optimal set
+are the ones a full scan finds.  The empty position is feasible for any
+limits and always enumerated, so the status is always ``"optimal"``; when
+every feasible position's denominator is degenerate, they all tie at an
 infinite optimum.
 
-Blocks may be scanned in parallel; the reduction over block summaries is
-sequential and therefore deterministic.
+Chunks and blocks may be scanned in parallel; the reduction over block
+summaries is sequential and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import ProblemInstance, feasible_rows, search_space_size
+from .problem import ProblemInstance, search_space_size
 
 #: Positions kept in the optimal set before truncation kicks in.
 MAX_OPTIMAL_SET = 100_000
@@ -45,6 +47,7 @@ class OracleResult:
     wall_seconds: float
     status: str  # always "optimal": the empty position is feasible
     truncated: bool = False
+    feasible: int = 0  # positions that pass the sensitivity limits
 
 
 @dataclass
@@ -62,21 +65,57 @@ class Enumerator:
         self.sizes = upper - self.offsets + 1
         self.total = search_space_size(problem.structure)
 
-    def positions_for(self, start: int, stop: int) -> np.ndarray:
-        """Decode flat enumeration indices [start, stop) into position vectors."""
-        flat = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((flat.size, self.sizes.size), dtype=np.int64)
+    def _decode(self, flat: np.ndarray, digits: int) -> np.ndarray:
+        """Flat indices over the leading ``digits`` digits -> their position entries."""
+        out = np.empty((flat.size, digits), dtype=np.int64)
         rem = flat
-        for d in range(self.sizes.size - 1, -1, -1):
+        for d in range(digits - 1, -1, -1):
             rem, digit = np.divmod(rem, self.sizes[d])
             out[:, d] = digit + self.offsets[d]
         return out
 
-    def _scan_block(self, start: int, stop: int, tau_eq: float) -> _BlockSummary:
-        positions = self.positions_for(start, stop)
-        feasible = positions[feasible_rows(self.evaluator.violations(positions))]
-        if not feasible.size:
+    def positions_for(self, flat: np.ndarray | int, stop: Optional[int] = None) -> np.ndarray:
+        """Decode an int array of flat enumeration indices into position
+        vectors; ``positions_for(start, stop)`` decodes the range [start, stop)."""
+        if stop is not None:
+            flat = np.arange(flat, stop, dtype=np.int64)
+        return self._decode(np.asarray(flat, dtype=np.int64), self.sizes.size)
+
+    def feasible_mask(self, block_size: int = 65_536, threads: int = 1) -> np.ndarray:
+        """One bool per position of the box, in enumeration order: True where
+        the position passes the sensitivity limits.
+
+        The box is cut into leading-digit chunks of at most ``block_size``
+        positions: every chunk is a run of prefixes over the k leading digits,
+        with k as small as that bound allows, and
+        :meth:`BatchEvaluator.feasible_slice` screens each chunk without
+        decoding it.  Chunks run on ``threads`` workers; the mask does not
+        depend on either argument.
+        """
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        k, tail = self.sizes.size, 1
+        while k and tail * int(self.sizes[k - 1]) <= block_size:
+            k -= 1
+            tail *= int(self.sizes[k])
+        prefixes, step = self.total // tail, block_size // tail
+        mask = np.empty(self.total, dtype=bool)
+
+        def screen(first: int) -> None:
+            last = min(first + step, prefixes)
+            chunk = self._decode(np.arange(first, last, dtype=np.int64), k)
+            mask[first * tail: last * tail] = self.evaluator.feasible_slice(chunk)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for _ in (pool.map if threads > 1 else map)(screen, range(0, prefixes, step)):
+                pass
+        return mask
+
+    def _scan_block(self, start: int, stop: int, mask: np.ndarray, tau_eq: float) -> _BlockSummary:
+        rows = np.flatnonzero(mask[start:stop])
+        if not rows.size:
             return _BlockSummary(np.inf, [])
+        feasible = self.positions_for(start + rows)
         fit = self.evaluator.evaluate(feasible)["fitness"]
         best = float(fit.min())
         near = np.flatnonzero(fit <= best + tau_eq)
@@ -95,10 +134,11 @@ class Enumerator:
         if self.total > budget:
             raise BudgetExceeded(self.total, budget)
         t0 = time.perf_counter()
+        mask = self.feasible_mask(block_size, threads)
         ranges = [(a, min(a + block_size, self.total)) for a in range(0, self.total, block_size)]
 
         def scan(r: tuple[int, int]) -> _BlockSummary:
-            return self._scan_block(*r, tau_eq)
+            return self._scan_block(*r, mask, tau_eq)
 
         summaries: list[_BlockSummary] = []
         done = 0
@@ -128,7 +168,8 @@ class Enumerator:
 
         wall = time.perf_counter() - t0
         kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
-        return OracleResult(float(best_fit), kept, self.total, wall, "optimal", truncated)
+        return OracleResult(float(best_fit), kept, self.total, wall, "optimal", truncated,
+                            int(np.count_nonzero(mask)))
 
 
 def enumerate_space(problem: ProblemInstance, **kwargs) -> OracleResult:

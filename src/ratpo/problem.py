@@ -401,7 +401,8 @@ class BatchEvaluator:
         self._features[:u, :s] = arrays["pnl"]
         self._features[:u, s:] = np.stack([arrays["delta"], arrays["vega"], arrays["gamma"]], axis=1)
         self._features[u, :s] = problem.init.pnl
-        self._greeks = np.ascontiguousarray(self._features[:, s:])
+        # Delta, Vega and Gamma as (3, U + 1) rows, for feasible_slice's per-slot tables.
+        self._greeks = np.ascontiguousarray(self._features[:, s:].T)
         self._init_row = u
         self._cost = arrays["cost"]
 
@@ -418,25 +419,83 @@ class BatchEvaluator:
         self._penalties = np.array(problem.constraints.penalties)
         self._groups = structure.range_groups()
 
-    def _check(self, positions: np.ndarray) -> None:
-        """Reject a batch that is not (p, 2m) integers within the structure's bounds.
+    def _check(self, positions: np.ndarray, prefix: bool = False) -> None:
+        """Reject a batch that is not (p, 2m) integers within the structure's
+        bounds; with ``prefix``, (p, k) leading entries for any k <= 2m.
 
-        The sparse product reads ``features`` rows by these indices without
-        bounds checks, so nothing out of bounds may reach it.
+        The sparse product and the per-slot tables read ``features`` rows by
+        these indices without bounds checks, so nothing out of bounds may reach them.
         """
-        if positions.ndim != 2 or positions.shape[1] != 2 * self.m:
-            raise StructureError(f"positions must have shape (p, {2 * self.m}), got {positions.shape}")
+        width = positions.shape[-1] if prefix and positions.ndim == 2 else 2 * self.m
+        if positions.ndim != 2 or positions.shape[1] != width or width > 2 * self.m:
+            expected = f"(p, k <= {2 * self.m})" if prefix else f"(p, {2 * self.m})"
+            raise StructureError(f"positions must have shape {expected}, got {positions.shape}")
         if not np.issubdtype(positions.dtype, np.integer):
             raise StructureError(f"positions must be integers, got dtype {positions.dtype}")
-        outside = (positions < self._lower) | (positions > self._upper)
+        outside = (positions < self._lower[:width]) | (positions > self._upper[:width])
         if outside.any():
             r, c = np.argwhere(outside)[0]
             raise StructureError(f"row {r}, entry {c}: {positions[r, c]} outside "
                                  f"[{self._lower[c]}, {self._upper[c]}]")
 
-    def _weights(self, positions: np.ndarray) -> tuple[sparse.csr_array, np.ndarray, np.ndarray]:
-        """Check a batch and build its (p, U + 1) CSR weights; also returns the
-        (p, m) 0-based instrument indices and notionals."""
+    def _violations(self, sens: np.ndarray) -> np.ndarray:
+        """(|sensitivity| - limit)_+ / limit per column; a zero limit gives 0 for
+        a zero sensitivity and inf otherwise."""
+        psi = np.abs(sens)
+        psi -= self._limits
+        np.maximum(psi, 0.0, out=psi)
+        psi /= self._divisors
+        for k in self._zero_limits:
+            psi[:, k] = np.where(psi[:, k] > 0.0, np.inf, 0.0)
+        return psi
+
+    def feasible_slice(self, prefixes: np.ndarray) -> np.ndarray:
+        """Feasible mask of every position that starts with a row of ``prefixes``.
+
+        ``prefixes`` is a (q, k) int matrix of leading position entries,
+        0 <= k <= 2m; the other 2m - k entries run over their whole ranges.
+        The mask comes in enumeration order: prefix rows in turn, last entry
+        fastest.
+
+        Nothing is decoded and no CSR is built.  Slot j enters a Greek sum
+        only through its two entries, so its terms form a small table
+        ``notional grid x (Delta, Vega, Gamma)`` over its index range.  The
+        tables are added to zeros by broadcasting, in slot order: the same
+        multiplies and adds, in the same order, as :meth:`evaluate`'s CSR row
+        ``((0 + 1 * 0) + n_1 g_1) + ...`` (the initial book's row carries no
+        Greeks).  The sums then pass through the violation formula and the
+        feasible rule that ``evaluate`` uses, so the mask is bit-identical to
+        ``evaluate``'s ``"feasible"`` over the same positions.  Raises
+        :class:`StructureError` on a malformed or out-of-bounds prefix.
+        """
+        prefixes = np.asarray(prefixes)
+        self._check(prefixes, prefix=True)
+        k = prefixes.shape[1]
+        ndim = 1 + 2 * self.m - k
+
+        def entry(d: int) -> np.ndarray:
+            """Entry d's values, along the prefix axis or along its own trailing axis."""
+            if d < k:
+                values, axis = prefixes[:, d], 0
+            else:
+                values, axis = np.arange(self._lower[d], self._upper[d] + 1), 1 + d - k
+            return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
+
+        # Greek axis first: the (positions, 3) view handed on is column-major,
+        # so each violation column is one contiguous pass.  The zeros carry the
+        # prefix axis even when no entry lies on it (k = 0).
+        sums = np.zeros((3, prefixes.shape[0]) + (1,) * (ndim - 1))
+        for j in range(self.m):
+            sums = sums + self._grids[j, entry(self.m + j)] * self._greeks[:, entry(j) - 1]
+        return feasible_rows(self._violations(sums.reshape(3, -1).T))
+
+    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
+        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
+
+        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
+        entry in any row.
+        """
         positions = np.asarray(positions)
         self._check(positions)
         p = positions.shape[0]
@@ -452,41 +511,6 @@ class BatchEvaluator:
         data[:, 1:] = notion
         indptr = np.arange(0, p * (m + 1) + 1, m + 1)
         weights = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
-        return weights, idx, notion
-
-    def _violations(self, sens: np.ndarray) -> np.ndarray:
-        """(|sensitivity| - limit)_+ / limit per column; a zero limit gives 0 for
-        a zero sensitivity and inf otherwise."""
-        psi = np.abs(sens)
-        psi -= self._limits
-        np.maximum(psi, 0.0, out=psi)
-        psi /= self._divisors
-        for k in self._zero_limits:
-            psi[:, k] = np.where(psi[:, k] > 0.0, np.inf, 0.0)
-        return psi
-
-    def violations(self, positions: np.ndarray) -> np.ndarray:
-        """The (p, 3) violations of a (p, 2m) int position matrix, from its
-        Greek sums alone; :func:`feasible_rows` turns them into the feasible mask.
-
-        The same CSR weights multiply a contiguous copy of the Delta, Vega and
-        Gamma columns only.  ``csr_matvecs`` sums each output column on its
-        own, entry by entry in row order, so these equal
-        ``evaluate(positions)["psi"]`` bit for bit at a fraction of the cost.
-        Raises :class:`StructureError` as :meth:`evaluate` does.
-        """
-        weights, _, _ = self._weights(positions)
-        return self._violations(weights @ self._greeks)
-
-    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
-        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
-
-        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
-        entry in any row.
-        """
-        weights, idx, notion = self._weights(positions)
-        p = idx.shape[0]
         linear = weights @ self._features
         total_pnl, sens = linear[:, :-3], linear[:, -3:]
 

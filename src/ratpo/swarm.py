@@ -4,9 +4,14 @@ Standard swarm recursion with three departures that matter here:
 
 * positions are integers: after each velocity step the float position is
   rounded half-away-from-zero and saturated at the per-slot bounds;
-* the global best only moves when the best personal fitness beats the
-  incumbent by strictly more than a significance threshold, and a stall
-  counter drives one of the stopping rules;
+* the champion among the personal bests is the feasible one with the lowest
+  penalty fitness, and only when no personal best is feasible the one with
+  the lowest penalty fitness overall.  A feasible champion always displaces
+  an infeasible incumbent; otherwise the global best only moves when the
+  champion has the incumbent's feasibility and beats its fitness by strictly
+  more than a significance threshold.  A stall counter drives one of the
+  stopping rules.  The injected zero strategy is feasible, so the incumbent
+  is feasible from iteration 0 and its fitness never increases;
 * the two uniform random vectors are, by default, drawn once per iteration
   and shared by all particles ("shared" mode); "per_particle" redraws them
   for every particle like textbook PSO.
@@ -90,6 +95,7 @@ class RunState:
     iteration: int
     best_position: np.ndarray
     best_fitness: float
+    best_feasible: bool
     stall: int
     inertia: float
     concentration: float
@@ -131,13 +137,28 @@ class Swarm:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _evaluate(self, positions: np.ndarray) -> np.ndarray:
+    def _evaluate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Penalty fitness and feasible mask of a batch of positions."""
         self.evaluations += positions.shape[0]
         if self._pool is None or positions.shape[0] < 2 * self.cfg.threads:
-            return self.evaluator.evaluate(positions)["fitness"]
+            res = self.evaluator.evaluate(positions)
+            return res["fitness"], res["feasible"]
+
+        def part(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            res = self.evaluator.evaluate(positions[rows])
+            return res["fitness"], res["feasible"]
+
         chunks = np.array_split(np.arange(positions.shape[0]), self.cfg.threads)
-        parts = list(self._pool.map(lambda c: self.evaluator.evaluate(positions[c])["fitness"], chunks))
-        return np.concatenate(parts)
+        fitness, feasible = zip(*self._pool.map(part, chunks))
+        return np.concatenate(fitness), np.concatenate(feasible)
+
+    def _champion(self) -> int:
+        """The personal best that leads: feasible before infeasible, then lowest
+        penalty fitness, then lowest index."""
+        feasible = np.flatnonzero(self.best_feasible)
+        if not feasible.size:
+            return int(np.argmin(self.best_fitness))
+        return int(feasible[np.argmin(self.best_fitness[feasible])])
 
     # -- initialization -------------------------------------------------------
 
@@ -153,12 +174,13 @@ class Swarm:
             self.positions[0, m:] = self.problem.empty_position()[m:]
 
         self.best_positions = self.positions.copy()
-        self.best_fitness = self._evaluate(self.positions)
-        best = int(np.argmin(self.best_fitness))
+        self.best_fitness, self.best_feasible = self._evaluate(self.positions)
+        best = self._champion()
         state = RunState(
             iteration=0,
             best_position=self.best_positions[best].copy(),
             best_fitness=float(self.best_fitness[best]),
+            best_feasible=bool(self.best_feasible[best]),
             stall=0,
             inertia=cfg.w_max,
             concentration=self._concentration(self.best_positions[best]),
@@ -189,16 +211,23 @@ class Swarm:
         rounded = round_half_away_from_zero(moved)
         self.positions = np.clip(rounded, self.lower, self.upper).astype(np.int64)
 
-        fitness = self._evaluate(self.positions)
+        fitness, feasible = self._evaluate(self.positions)
         improved = fitness < self.best_fitness
         self.best_positions[improved] = self.positions[improved]
         self.best_fitness[improved] = fitness[improved]
+        self.best_feasible[improved] = feasible[improved]
 
         state.iteration += 1
-        champion = int(np.argmin(self.best_fitness))
-        if state.best_fitness - self.best_fitness[champion] > cfg.tau_f:
+        champion = self._champion()
+        champion_feasible = bool(self.best_feasible[champion])
+        if champion_feasible != state.best_feasible:
+            moves = champion_feasible
+        else:
+            moves = state.best_fitness - self.best_fitness[champion] > cfg.tau_f
+        if moves:
             state.best_position = self.best_positions[champion].copy()
             state.best_fitness = float(self.best_fitness[champion])
+            state.best_feasible = champion_feasible
             state.stall = 0
         else:
             state.stall += 1

@@ -129,6 +129,12 @@ def reduced_problem(reduced_dataset) -> ProblemInstance:
 
 
 @pytest.fixture(scope="session")
+def table1_problem() -> ProblemInstance:
+    """The paper's headline instance: 620 instruments, 21-point grids, tau 0.5."""
+    return build_problem_from_dataset(gen_dataset(42, profile="table1"), tau=0.5, grid_points=21)
+
+
+@pytest.fixture(scope="session")
 def small_universe():
     specs = [s for s in DEFAULT_UNDERLYINGS if s.ticker == ".STOXX50E"]
     return specs, build_universe(specs)

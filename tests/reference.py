@@ -14,6 +14,10 @@ the two byte for byte.
 feasibility-first scan: every block runs the full fitness on every position,
 and a space whose best feasible fitness is infinite reports ``"no_feasible"``
 with the least-violation position of the blocks that had no feasible row.
+
+:func:`slice_positions` lists the positions of a slice of the box the way
+``BatchEvaluator.feasible_slice`` orders its mask, from a Cartesian product
+rather than the oracle's digit decoding.
 """
 
 from __future__ import annotations
@@ -164,6 +168,7 @@ def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[
         "var": var,
         "cost": cost,
         "psi": psi,
+        "sens": sens,
         "feasible": np.all(psi == 0.0, axis=1),
         "pnl": total_pnl,
     }
@@ -209,3 +214,16 @@ def full_scan_enumerate(problem: ProblemInstance, tau_eq: float = 1e-12,
         return oracle.OracleResult(np.inf, positions, en.total, 0.0, "no_feasible", truncated)
     kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
     return oracle.OracleResult(float(best_fit), kept, en.total, 0.0, "optimal", truncated)
+
+
+def slice_positions(problem: ProblemInstance, prefixes: np.ndarray) -> np.ndarray:
+    """Every position that starts with a row of ``prefixes``: prefix rows in
+    turn, the remaining entries over their whole ranges, last entry fastest."""
+    lo, hi = problem.structure.position_bounds()
+    k = prefixes.shape[1]
+    if k == lo.size:
+        return prefixes
+    axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo[k:], hi[k:])), indexing="ij")
+    trailing = np.stack([a.ravel() for a in axes], axis=1)
+    return np.concatenate([np.repeat(prefixes, len(trailing), axis=0),
+                           np.tile(trailing, (len(prefixes), 1))], axis=1)

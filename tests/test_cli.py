@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratpo.cli import derive_cell_seed, main
+from ratpo.cli import build_problem, derive_cell_seed, load_problem_config, main
+from ratpo.oracle import enumerate_space
 from ratpo.risk import VarConfig, var_index
 
 
@@ -367,6 +368,15 @@ class TestOracleCmd:
         # 12 calls+puts and 6 futures on two tenors, 3-point grids
         assert all(int(r["count"]) == (12 * 3) ** 2 * (6 * 3) for r in rows)
         assert all(r["status"] == "optimal" and r["truncated"] == "0" for r in rows)
+
+    def test_summary_reports_feasible_count(self, data_dir, tmp_path, capsys):
+        problem = write_json(tmp_path / "p.json", {"tau_g": 0.5, "grid_points": 3})
+        assert main(["oracle", "--data-dir", str(data_dir), "--problem", problem,
+                     "--budget", "100000", "--out", str(tmp_path / "oracle")]) == 0
+        summary = capsys.readouterr().out
+        expected = enumerate_space(build_problem(str(data_dir), load_problem_config(problem)), budget=100000)
+        assert 0 < expected.feasible < expected.count
+        assert f"over {expected.count} positions ({expected.feasible} feasible, " in summary
 
     def test_truncated_optimal_set_marked_in_csv(self, data_dir, tmp_path, monkeypatch):
         from ratpo import oracle

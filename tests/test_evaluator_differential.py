@@ -14,19 +14,11 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import build_problem_from_dataset
 
-from ratpo.datagen import gen_dataset
 from ratpo.oracle import Enumerator
-from ratpo.problem import feasible_rows
 from ratpo.risk import VarConfig, var_index
 
 KEYS = ("pnl", "mean", "var", "psi", "fitness", "objective", "cost", "feasible")
-
-
-@pytest.fixture(scope="module")
-def table1_problem():
-    return build_problem_from_dataset(gen_dataset(42, profile="table1"), tau=0.5, grid_points=21)
 
 
 def random_rows(problem, rows: int, seed: int) -> np.ndarray:
@@ -78,21 +70,34 @@ def test_rows_do_not_depend_on_the_batch(table1_problem):
         assert_same_bytes(alone, {key: full[key][i:i + 1] for key in KEYS})
 
 
-def every_block(problem) -> list[np.ndarray]:
-    enumerator = Enumerator(problem)
-    return [enumerator.positions_for(a, min(a + 65_536, enumerator.total))
-            for a in range(0, enumerator.total, 65_536)]
-
-
 @pytest.mark.parametrize("tau", [0.0, 0.5])
-def test_violations_match_evaluate(table1_problem, reduced_problem, tau):
-    """The oracle's Greek-only violations carry the bytes of the full evaluation's,
-    on a table1 batch with duplicate picks and on every reduced position."""
-    for problem, blocks in ((table1_problem, [random_rows(table1_problem, 1000, seed=25)]),
-                            (reduced_problem, every_block(reduced_problem))):
-        problem = dataclasses.replace(problem, constraints=dataclasses.replace(
-            problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
-        for block in blocks:
-            psi = problem.evaluator.violations(block)
-            full = problem.evaluator.evaluate(block)
-            assert_same_bytes({"psi": psi, "feasible": feasible_rows(psi)}, full, keys=("psi", "feasible"))
+def test_feasible_slice_matches_evaluate(table1_problem, tau):
+    """The Greek screen's mask carries the bytes of the full evaluation's, on
+    table1 rows with duplicate picks (prefixes of full length) and on the
+    441-position slices spanned by the last two entries of near-empty rows."""
+    problem = dataclasses.replace(table1_problem, constraints=dataclasses.replace(
+        table1_problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau))
+    ev, m = problem.evaluator, problem.structure.m
+    X = random_rows(problem, 1000, seed=25)
+    assert_same_bytes({"feasible": ev.feasible_slice(X)}, ev.evaluate(X), keys=("feasible",))
+    # Random rows all break the limits; near-empty ones trade only in the first
+    # option pair, which picks one instrument twice on even rows.
+    prefixes = X[:20, :-2].copy()
+    prefixes[:, m + 2:] = problem.empty_position()[m + 2:-2]
+    want = ev.evaluate(reference.slice_positions(problem, prefixes))
+    assert want["feasible"].any() and not want["feasible"].all()
+    assert_same_bytes({"feasible": ev.feasible_slice(prefixes)}, want, keys=("feasible",))
+
+
+def test_feasible_slice_adds_slots_in_evaluate_order(table1_problem):
+    """Positions whose three Greek sums sit exactly on the limits stay feasible
+    only if the screen adds the 39 slot terms in the slot loop's order; most
+    other orders move some of these sums by an ULP."""
+    X = random_rows(table1_problem, 40, seed=27)
+    sens = reference.slot_loop_evaluate(table1_problem, X)["sens"]
+    for x, (delta, vega, gamma) in zip(X, sens):
+        problem = dataclasses.replace(table1_problem, constraints=dataclasses.replace(
+            table1_problem.constraints, tau_delta=1.0, tau_vega=1.0, tau_gamma=1.0,
+            base_delta=delta, base_vega=vega, base_gamma=gamma))
+        assert problem.evaluator.evaluate(x[None, :])["feasible"].all()
+        assert problem.evaluator.feasible_slice(x[None, :]).all()

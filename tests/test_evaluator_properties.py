@@ -113,7 +113,7 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 def test_batch_matches_scalar_reference(problem, seed):
     rows = random_rows(problem, seed)
     res = problem.evaluator.evaluate(rows)
-    assert problem.evaluator.violations(rows).tobytes() == res["psi"].tobytes()
+    assert problem.evaluator.feasible_slice(rows).tobytes() == res["feasible"].tobytes()
     for r, x in enumerate(rows):
         ref = reference.evaluate(problem, x)
         assert res["var"][r] == ref.var
@@ -130,7 +130,7 @@ def test_empty_position_is_feasible_for_any_limits(problem, taus):
     problem = dataclasses.replace(problem, constraints=dataclasses.replace(
         problem.constraints, tau_delta=taus[0], tau_vega=taus[1], tau_gamma=taus[2]))
     empty = problem.empty_position()[None, :]
-    assert not problem.evaluator.violations(empty).any()
+    assert problem.evaluator.feasible_slice(empty).all()
     assert problem.evaluator.evaluate(empty)["feasible"].all()
 
 

@@ -141,7 +141,7 @@ class TestStep:
         cfg = RatsConfig(particles=2, seed=1, tau_f=1e-4)
         swarm = Swarm(cfg, problem)
         feed = [np.array([1.0, 2.0])]
-        swarm._evaluate = lambda positions: feed.pop(0)
+        swarm._evaluate = lambda positions: (feed.pop(0), np.ones(len(positions), dtype=bool))
         state = swarm.initialize()
         assert state.best_fitness == 1.0
 
@@ -160,13 +160,46 @@ class TestStep:
         cfg = RatsConfig(particles=3, seed=2, tau_f=1e-4)
         swarm = Swarm(cfg, problem)
         feed = [np.array([5.0, 4.0, 6.0])]
-        swarm._evaluate = lambda positions: feed.pop(0)
+        swarm._evaluate = lambda positions: (feed.pop(0), np.ones(len(positions), dtype=bool))
         state = swarm.initialize()
         # Particle 2 worsens, but its personal best (6.0) is kept; champion is 0.1.
         feed.append(np.array([0.1, 9.0, 9.0]))
         swarm.step(state)
         assert state.best_fitness == 0.1
         assert swarm.best_fitness.tolist() == [0.1, 4.0, 6.0]
+
+    def test_feasible_personal_best_leads_the_champion_pick(self):
+        problem = make_toy_problem()
+        swarm = Swarm(RatsConfig(particles=3, seed=2, tau_f=1e-4), problem)
+        feed = [(np.array([1.0, 2.0, 3.0]), np.array([False, True, True]))]
+        swarm._evaluate = lambda positions: feed.pop(0)
+        state = swarm.initialize()
+        assert (state.best_fitness, state.best_feasible) == (2.0, True)
+        assert np.array_equal(state.best_position, swarm.best_positions[1])
+
+        # An infeasible personal best far below the incumbent does not displace it.
+        feed.append((np.array([0.5, 9.0, 9.0]), np.array([False, True, True])))
+        swarm.step(state)
+        assert (state.best_fitness, state.stall) == (2.0, 1)
+
+        # A feasible one beating it by more than tau_f does.
+        feed.append((np.array([9.0, 9.0, 1.5]), np.array([True, True, True])))
+        swarm.step(state)
+        assert (state.best_fitness, state.best_feasible, state.stall) == (1.5, True, 0)
+
+    def test_feasible_champion_displaces_an_infeasible_incumbent(self):
+        problem = make_toy_problem()
+        swarm = Swarm(RatsConfig(particles=2, seed=1, tau_f=1e-4, inject_zero_strategy=False), problem)
+        feed = [(np.array([1.0, 2.0]), np.array([False, False]))]
+        swarm._evaluate = lambda positions: feed.pop(0)
+        state = swarm.initialize()
+        assert (state.best_fitness, state.best_feasible) == (1.0, False)
+
+        # Feasibility ranks first, so the incumbent moves although its fitness rises.
+        feed.append((np.array([3.0, 1.5]), np.array([False, True])))
+        swarm.step(state)
+        assert (state.best_fitness, state.best_feasible, state.stall) == (1.5, True, 0)
+        assert swarm.best_feasible.tolist() == [False, True]
 
 
 class TestConcentration:
@@ -209,6 +242,17 @@ class TestRun:
         result = run(RatsConfig(particles=200, k_max=30, seed=21), reduced_problem)
         fits = [row[1] for row in result.trajectory]
         assert all(b <= a for a, b in zip(fits, fits[1:]))
+
+    @pytest.mark.parametrize("seed", [6084, 104036])
+    def test_table1_run_ends_feasible(self, table1_problem, seed):
+        # Two repetitions of bench/'s table1_swarm: 1000 particles, 50 iterations, no early
+        # stop.  A champion picked on penalty fitness alone ended both on an infeasible
+        # strategy that beat every feasible personal best.
+        cfg = RatsConfig(particles=1000, k_max=50, k_max_stall=10**9, tau_p=0.999999, seed=seed)
+        result = run(cfg, table1_problem)
+        empty = table1_problem.evaluate(table1_problem.empty_position()).fitness
+        assert result.breakdown.feasible
+        assert result.fitness < empty
 
     def test_final_fitness_not_worse_than_empty_strategy(self):
         problem = make_toy_problem()
