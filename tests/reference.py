@@ -93,7 +93,8 @@ def evaluate(problem: ProblemInstance, x: Sequence[int]) -> EvalBreakdown:
 
 def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[str, np.ndarray]:
     """The batch fitness with the per-slot P&L and Greek loop; same keys as
-    ``BatchEvaluator.evaluate``.  Positions must be in bounds."""
+    ``BatchEvaluator.evaluate``, plus the (p, 3) Greek sums under ``"sens"``.
+    Positions must be in bounds."""
     arrays = problem.table.arrays(problem.universe_ids)
     pnl_table = np.ascontiguousarray(arrays["pnl"])
     delta_table, vega_table, gamma_table = arrays["delta"], arrays["vega"], arrays["gamma"]
