@@ -32,7 +32,7 @@ from .problem import (
     round_magnitude,
     search_space_size,
 )
-from .risk import VarConfig, beta_var, sample_pnl, var_index
+from .risk import VarConfig, var_index
 from .swarm import RandomMode, RatsConfig, RatsResult, StopReason, Swarm, run
 from .oracle import OracleResult, enumerate_space
 
@@ -42,7 +42,7 @@ __all__ = [
     "FeatureLab", "FeatureTable", "InstrumentFeatures", "PortfolioFeatures", "aggregate",
     "ConstraintSpec", "EosStructure", "ProblemInstance", "SlotSpec", "build_structure",
     "decode", "riskfree_pnl", "round_magnitude", "search_space_size",
-    "VarConfig", "beta_var", "sample_pnl", "var_index",
+    "VarConfig", "var_index",
     "RandomMode", "RatsConfig", "RatsResult", "StopReason", "Swarm", "run",
     "OracleResult", "enumerate_space",
 ]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .instruments import (
     QuoteError,
     ScenarioSet,
     UeiDescriptor,
+    UnderlyingMarket,
     UnderlyingSpec,
     is_uei_id,
     parse_descriptor_id,
@@ -38,6 +40,8 @@ from .pricing import PricingInputs
 VOL_FLOOR = 1e-6
 #: Shocked spots cannot fall below this fraction of the base spot.
 SPOT_FLOOR = 1e-6
+#: Instruments priced per chunk of :meth:`FeatureLab.build_table`.
+_CHUNK = 64
 
 
 class FeatureError(ValueError):
@@ -76,15 +80,15 @@ class PortfolioFeatures:
     def __post_init__(self) -> None:
         self.pnl.setflags(write=False)
 
-    def __add__(self, other: "PortfolioFeatures") -> "PortfolioFeatures":
-        return PortfolioFeatures(
-            self.value + other.value,
-            self.pnl + other.pnl,
-            self.delta + other.delta,
-            self.vega + other.vega,
-            self.gamma + other.gamma,
-            self.cost + other.cost,
-        )
+
+class _Resolved(NamedTuple):
+    """An instrument id resolved to its underlying and its base pricing state."""
+
+    id: str
+    ticker: str
+    market: UnderlyingMarket
+    strike_pct: Optional[float]
+    base: PricingInputs
 
 
 class FeatureTable:
@@ -151,8 +155,9 @@ class FeatureLab:
     """Computes instrument features from market data and scenarios.
 
     The universe specs provide the position -> ticker mapping for eligible
-    instruments and the bid/ask spreads for trading costs.  Feature
-    computation is pure per instrument and safe to run concurrently.
+    instruments and the bid/ask spreads for trading costs.  An instrument's
+    features depend on nothing but its own id, however many are built
+    together.
     """
 
     def __init__(
@@ -209,7 +214,7 @@ class FeatureLab:
 
     # -- features -----------------------------------------------------------
 
-    def compute(self, instrument_id: str) -> InstrumentFeatures:
+    def _resolved(self, instrument_id: str) -> _Resolved:
         ticker, kind, strike_abs, tenor_days, exercise, strike_pct = self._resolve(instrument_id)
         u = self.market.underlying(ticker)
         rate = self.market.rate_for(ticker)
@@ -219,24 +224,37 @@ class FeatureLab:
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
             strike=strike_abs, kind=kind, exercise=exercise,
         ).pinned()
+        return _Resolved(instrument_id, ticker, u, strike_pct, base)
 
-        # One pricer call values the bump states, then the scenarios.
+    def _features(self, chunk: Sequence[_Resolved]) -> dict[str, InstrumentFeatures]:
+        """Features of a chunk of resolved instruments.  Each pricer runs once,
+        on the bump states and then the scenarios of every instrument it
+        prices."""
         sc = self.scenarios
-        col, ccy_col = sc.column(ticker), sc.currency_column(u.currency)
-        bump_spots, bump_vols = pricing.bump_states(base)
+        bases = [r.base for r in chunk]
+        spot, vol, rate = (np.array([getattr(b, name) for b in bases]) for name in ("spot", "vol", "rate"))
+        cols = [sc.column(r.ticker) for r in chunk]
+        ccy_cols = [sc.currency_column(r.market.currency) for r in chunk]
+        bump_spots, bump_vols = pricing.bump_states(spot, vol)
+        bumps = bump_spots.shape[1]
         values = pricing.price_at(
-            base,
-            np.concatenate([bump_spots, base.spot * np.maximum(1.0 + sc.spot_returns[:, col], SPOT_FLOOR)]),
-            np.concatenate([bump_vols, np.maximum(base.vol + sc.vol_shifts[:, col], VOL_FLOOR)]),
-            np.concatenate([np.full(bump_spots.size, base.rate), base.rate + sc.rate_shifts[:, ccy_col]]),
+            bases,
+            np.hstack([bump_spots, spot[:, None] * np.maximum(1.0 + sc.spot_returns[:, cols].T, SPOT_FLOOR)]),
+            np.hstack([bump_vols, np.maximum(vol[:, None] + sc.vol_shifts[:, cols].T, VOL_FLOOR)]),
+            np.hstack([np.repeat(rate[:, None], bumps, axis=1), rate[:, None] + sc.rate_shifts[:, ccy_cols].T]),
         )
-        v0 = float(values[0])
-        delta, vega, gamma = pricing.greeks_from(values)
-        try:
-            cost = self._unit_cost(u, kind, delta, vega, strike_pct)
-        except QuoteError as exc:
-            raise _naming(ticker, exc) from None
-        return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
+        greeks = zip(*(g.tolist() for g in pricing.greeks_from(values)))
+        out = {}
+        for r, value, (delta, vega, gamma), row in zip(chunk, values[:, 0].tolist(), greeks, values[:, bumps:]):
+            try:
+                cost = self._unit_cost(r.market, r.base.kind, delta, vega, r.strike_pct)
+            except QuoteError as exc:
+                raise _naming(r.ticker, exc) from None
+            # One P&L array per instrument: views of a (chunk, S) block among
+            # the pricers' temporaries of nearly its size fragment the heap
+            # (bench table1_swarm peak RSS 72.7 against 71.7 MiB on 2 vCPUs).
+            out[r.id] = InstrumentFeatures(value, row - value, delta, vega, gamma, cost)
+        return out
 
     def _unit_cost(
         self, u, kind: Kind, delta: float, vega: float, strike_pct: Optional[float],
@@ -263,10 +281,17 @@ class FeatureLab:
         return min(u.vol_spread_by_strike, key=lambda k: abs(k - share))
 
     def build_table(self, ids: Sequence[str]) -> FeatureTable:
+        """Features of the distinct ``ids``, in their order.
+
+        Every id is resolved, and its input errors raised, before any is
+        priced.  Pricing then runs in chunks of at most ``_CHUNK``
+        instruments, which bounds the pricers' temporaries; the features
+        equal those of pricing each instrument alone, byte for byte.
+        """
+        resolved = [self._resolved(instrument_id) for instrument_id in dict.fromkeys(ids)]
         entries: dict[str, InstrumentFeatures] = {}
-        for instrument_id in ids:
-            if instrument_id not in entries:
-                entries[instrument_id] = self.compute(instrument_id)
+        for start in range(0, len(resolved), _CHUNK):
+            entries.update(self._features(resolved[start:start + _CHUNK]))
         return FeatureTable(entries, self.scenarios.count)
 
     def build_run_table(self, universe: Sequence[UeiDescriptor], portfolio: Portfolio) -> FeatureTable:

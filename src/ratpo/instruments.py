@@ -182,15 +182,6 @@ def build_universe(specs: Sequence[UnderlyingSpec]) -> list[UeiDescriptor]:
     return out
 
 
-def universe_size(specs: Sequence[UnderlyingSpec]) -> int:
-    """Closed-form count: 6*|T|+1 per stock, 9*|T| per index."""
-    total = 0
-    for spec in specs:
-        n_t = len(spec.tenor_domain)
-        total += 6 * n_t + 1 if spec.category is Category.STOCK else 9 * n_t
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Static instruments (initial-portfolio holdings outside the eligible universe)
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ worth zero while spot/rate shocks move it.
 
 All prices are per unit notional, and every pricer broadcasts over numpy
 arrays: :func:`price_at`, the one dispatch on kind and exercise style,
-values a base state, its bumps or its scenarios in one call.  Greeks follow
-the monetary one-sided shock convention: Delta and Gamma from 1%
-multiplicative spot shocks, Vega from a one-vol-point additive shock.
+values the base states, bumps and scenarios of many instruments with one
+call per pricer.  Greeks follow the monetary one-sided shock convention:
+Delta and Gamma from 1% multiplicative spot shocks, Vega from a
+one-vol-point additive shock.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -104,22 +105,6 @@ def black_scholes(
     )
     out = np.where(tau > 0, live, intrinsic)
     return float(out) if out.ndim == 0 else out
-
-
-def bs_delta(
-    spot: ArrayLike,
-    strike: ArrayLike,
-    tenor_years: ArrayLike,
-    rate: ArrayLike,
-    div_yield: ArrayLike,
-    vol: ArrayLike,
-    is_call: bool,
-) -> ArrayLike:
-    """Analytic spot delta (per unit spot move), used by the strike solver round trip."""
-    sig_sqrt = vol * np.sqrt(tenor_years)
-    d1 = (np.log(np.asarray(spot, float) / strike) + (rate - div_yield + 0.5 * np.square(vol)) * tenor_years) / sig_sqrt
-    disc = np.exp(-div_yield * tenor_years)
-    return disc * ndtr(d1) if is_call else -disc * ndtr(-d1)
 
 
 def strike_from_delta(
@@ -238,20 +223,50 @@ def barone_adesi_whaley(
 # ---------------------------------------------------------------------------
 
 
-def price_at(inputs: PricingInputs, spot: ArrayLike, vol: ArrayLike, rate: ArrayLike) -> ArrayLike:
-    """Per-unit value of the instrument in ``inputs`` at the given spot, vol
-    and rate, which broadcast; the contract and the other market inputs come
-    from ``inputs``.  This is the one dispatch on kind and exercise style.
+def price_at(
+    inputs: Union[PricingInputs, Sequence[PricingInputs]], spot: ArrayLike, vol: ArrayLike, rate: ArrayLike,
+) -> ArrayLike:
+    """Per-unit values of instruments at the given spots, vols and rates; the
+    contract and the other market inputs come from ``inputs``.  This is the
+    one dispatch on kind and exercise style.
+
+    ``inputs`` is one instrument, whose states broadcast, or a sequence of n
+    instruments whose states broadcast to (n, ...), row i for instrument i.
+    Each pricer then runs once, on the rows of every instrument it prices.
+    A futures without a reference forward is valued against its own forward
+    at each state, i.e. at zero.
     """
-    if inputs.kind is Kind.STOCK:
-        return spot
-    if inputs.kind is Kind.FUTURES:
-        fwd = forward(spot, inputs.tenor_years, rate, inputs.div_yield)
-        ref = inputs.ref_forward if inputs.ref_forward is not None else fwd
-        return fwd - ref
-    pricer = barone_adesi_whaley if inputs.exercise is Exercise.AMERICAN else black_scholes
-    return pricer(spot, inputs.strike, inputs.tenor_years, rate, inputs.div_yield, vol,
-                  inputs.kind is Kind.CALL)
+    spot, vol, rate = np.broadcast_arrays(spot, vol, rate)
+    if isinstance(inputs, PricingInputs):
+        return price_at([inputs], spot[None], vol[None], rate[None])[0]
+    out = np.empty(spot.shape)
+    stock, futures, european, american = [], [], [], []
+    for i, p in enumerate(inputs):
+        if p.kind is Kind.STOCK:
+            stock.append(i)
+        elif p.kind is Kind.FUTURES:
+            futures.append(i)
+        else:
+            (american if p.exercise is Exercise.AMERICAN else european).append(i)
+
+    def column(rows: list[int], field: Callable[[PricingInputs], object]) -> np.ndarray:
+        """One contract field per row, shaped to broadcast against the rows' states."""
+        return np.array([field(inputs[i]) for i in rows]).reshape((len(rows),) + (1,) * (spot.ndim - 1))
+
+    if stock:
+        out[stock] = spot[stock]
+    if futures:
+        fwd = forward(spot[futures], column(futures, lambda p: p.tenor_years), rate[futures],
+                      column(futures, lambda p: p.div_yield))
+        unpinned = column(futures, lambda p: p.ref_forward is None)
+        ref = column(futures, lambda p: 0.0 if p.ref_forward is None else p.ref_forward)
+        out[futures] = fwd - np.where(unpinned, fwd, ref)
+    for rows, pricer in ((european, black_scholes), (american, barone_adesi_whaley)):
+        if rows:
+            out[rows] = pricer(
+                spot[rows], column(rows, lambda p: p.strike), column(rows, lambda p: p.tenor_years), rate[rows],
+                column(rows, lambda p: p.div_yield), vol[rows], column(rows, lambda p: p.kind is Kind.CALL))
+    return out
 
 
 def price(inputs: PricingInputs) -> float:
@@ -264,18 +279,20 @@ _BUMP_SPOT = np.array([1.0, 1.0 + SPOT_SHOCK, 1.0 - SPOT_SHOCK, 1.0])
 _BUMP_VOL = np.array([0.0, 0.0, 0.0, VOL_SHOCK])
 
 
-def bump_states(inputs: PricingInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Spots and vols of the four bump states whose values :func:`greeks_from` reads."""
-    return inputs.spot * _BUMP_SPOT, inputs.vol + _BUMP_VOL
+def bump_states(spot: ArrayLike, vol: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Spots and vols of the four bump states whose values :func:`greeks_from`
+    reads, along a new last axis."""
+    return np.multiply.outer(spot, _BUMP_SPOT), np.add.outer(vol, _BUMP_VOL)
 
 
-def greeks_from(values: np.ndarray) -> tuple[float, float, float]:
-    """Monetary (Delta, Vega, Gamma) from the values of the :func:`bump_states`.
+def greeks_from(values: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """Monetary (Delta, Vega, Gamma) from the values of the :func:`bump_states`,
+    which are the first four entries of the last axis.
 
     Delta = v(1.01 S) - v(S); Gamma = v(1.01 S) - 2 v(S) + v(0.99 S);
     Vega = v(sigma + 0.01) - v(sigma).
     """
-    v0, v_up, v_dn, v_vol = map(float, values[:4])
+    v0, v_up, v_dn, v_vol = (values[..., k] for k in range(4))
     return v_up - v0, v_vol - v0, v_up - 2.0 * v0 + v_dn
 
 
@@ -283,5 +300,6 @@ def bump_greeks(inputs: PricingInputs) -> tuple[float, float, float]:
     """Monetary (Delta, Vega, Gamma) per unit notional from one-sided shocks,
     the four bump states priced in one call."""
     base = inputs.pinned()
-    spots, vols = bump_states(base)
-    return greeks_from(price_at(base, spots, vols, base.rate))
+    spots, vols = bump_states(base.spot, base.vol)
+    delta, vega, gamma = greeks_from(price_at(base, spots, vols, base.rate))
+    return float(delta), float(vega), float(gamma)

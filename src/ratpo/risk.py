@@ -1,4 +1,4 @@
-"""Sample P&L and decay-weighted sample Value-at-Risk.
+"""The rank of the decay-weighted sample Value-at-Risk.
 
 The VaR is a plain order statistic of the scenario P&L vector: the decay
 factor enters only through the selected rank.  With beta at the usual 1%
@@ -12,8 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -33,14 +31,6 @@ class VarConfig:
             raise ValueError(f"scenario count must be >= 1, got {self.count}")
 
 
-def sample_pnl(pnl: np.ndarray) -> float:
-    """Arithmetic mean of the scenario P&L vector."""
-    pnl = np.asarray(pnl, float)
-    if pnl.size == 0:
-        raise ValueError("empty P&L vector")
-    return float(pnl.mean())
-
-
 def var_index(cfg: VarConfig) -> int:
     """1-based rank of the ascending-sorted P&L entry that defines the VaR.
 
@@ -54,13 +44,3 @@ def var_index(cfg: VarConfig) -> int:
         log.warning("VaR rank %d clamped to %d (beta=%g decay=%g s=%d)",
                     raw, clamped, cfg.beta, cfg.decay, cfg.count)
     return clamped
-
-
-def beta_var(pnl: np.ndarray, cfg: VarConfig) -> float:
-    """The var_index-th smallest scenario P&L (stable sort, original order breaks ties)."""
-    pnl = np.asarray(pnl, float)
-    if pnl.shape != (cfg.count,):
-        raise ValueError(f"P&L vector has length {pnl.size}, expected {cfg.count}")
-    rank = var_index(cfg)
-    ordered = np.sort(pnl, kind="stable")
-    return float(ordered[rank - 1])

@@ -1,4 +1,10 @@
-"""References for the fitness that ``BatchEvaluator`` computes.
+"""References for the features that ``FeatureLab`` builds and the fitness
+that ``BatchEvaluator`` computes.
+
+:func:`instrument_features` is the feature build as it was before pricing
+ran in batches: one pricer call per instrument, over its four bump states
+and then its scenarios.  Tests compare ``FeatureLab.build_table`` with it
+byte for byte.
 
 :func:`evaluate` is an independent scalar reference: it decodes one position
 into a merged strategy portfolio, aggregates its features leg by leg and
@@ -27,10 +33,94 @@ from typing import Sequence
 
 import numpy as np
 
-from ratpo import oracle
-from ratpo.features import PortfolioFeatures, aggregate
+from ratpo import oracle, pricing
+from ratpo.features import (
+    SPOT_FLOOR,
+    VOL_FLOOR,
+    FeatureLab,
+    FeatureTable,
+    InstrumentFeatures,
+    PortfolioFeatures,
+    _naming,
+    aggregate,
+)
+from ratpo.instruments import Exercise, Kind, QuoteError
 from ratpo.problem import ConstraintSpec, EvalBreakdown, ProblemInstance
-from ratpo.risk import VarConfig, beta_var, sample_pnl, var_index
+from ratpo.risk import VarConfig, var_index
+
+
+def _price_one(base: pricing.PricingInputs, spot: np.ndarray, vol: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """One instrument's values, each pricer called with scalar contract fields."""
+    if base.kind is Kind.STOCK:
+        return spot
+    if base.kind is Kind.FUTURES:
+        return pricing.forward(spot, base.tenor_years, rate, base.div_yield) - base.ref_forward
+    pricer = pricing.barone_adesi_whaley if base.exercise is Exercise.AMERICAN else pricing.black_scholes
+    return pricer(spot, base.strike, base.tenor_years, rate, base.div_yield, vol, base.kind is Kind.CALL)
+
+
+def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatures:
+    """Features of one instrument from one pricer call of its own."""
+    ticker, kind, strike_abs, tenor_days, exercise, strike_pct = lab._resolve(instrument_id)
+    u = lab.market.underlying(ticker)
+    rate = lab.market.rate_for(ticker)
+    tau = 0.0 if tenor_days is None else tenor_days / lab.day_count
+    vol = lab._vol_for(ticker, strike_pct, tenor_days)
+    base = pricing.PricingInputs(
+        spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
+        strike=strike_abs, kind=kind, exercise=exercise,
+    ).pinned()
+
+    sc = lab.scenarios
+    col, ccy_col = sc.column(ticker), sc.currency_column(u.currency)
+    bump_spots = base.spot * np.array([1.0, 1.0 + pricing.SPOT_SHOCK, 1.0 - pricing.SPOT_SHOCK, 1.0])
+    bump_vols = base.vol + np.array([0.0, 0.0, 0.0, pricing.VOL_SHOCK])
+    values = _price_one(
+        base,
+        np.concatenate([bump_spots, base.spot * np.maximum(1.0 + sc.spot_returns[:, col], SPOT_FLOOR)]),
+        np.concatenate([bump_vols, np.maximum(base.vol + sc.vol_shifts[:, col], VOL_FLOOR)]),
+        np.concatenate([np.full(bump_spots.size, base.rate), base.rate + sc.rate_shifts[:, ccy_col]]),
+    )
+    v0, v_up, v_dn, v_vol = map(float, values[:4])
+    delta, vega, gamma = v_up - v0, v_vol - v0, v_up - 2.0 * v0 + v_dn
+    try:
+        cost = lab._unit_cost(u, kind, delta, vega, strike_pct)
+    except QuoteError as exc:
+        raise _naming(ticker, exc) from None
+    return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
+
+
+def feature_table(lab: FeatureLab, ids: Sequence[str]) -> FeatureTable:
+    """The features of the distinct ``ids`` in their order, one instrument at a time."""
+    entries: dict[str, InstrumentFeatures] = {}
+    for instrument_id in ids:
+        if instrument_id not in entries:
+            entries[instrument_id] = instrument_features(lab, instrument_id)
+    return FeatureTable(entries, lab.scenarios.count)
+
+
+def add_features(a: PortfolioFeatures, b: PortfolioFeatures) -> PortfolioFeatures:
+    """Features of the union of two portfolios."""
+    return PortfolioFeatures(a.value + b.value, a.pnl + b.pnl, a.delta + b.delta, a.vega + b.vega,
+                             a.gamma + b.gamma, a.cost + b.cost)
+
+
+def sample_pnl(pnl: np.ndarray) -> float:
+    """Arithmetic mean of the scenario P&L vector."""
+    pnl = np.asarray(pnl, float)
+    if pnl.size == 0:
+        raise ValueError("empty P&L vector")
+    return float(pnl.mean())
+
+
+def beta_var(pnl: np.ndarray, cfg: VarConfig) -> float:
+    """The var_index-th smallest scenario P&L (stable sort, original order breaks ties)."""
+    pnl = np.asarray(pnl, float)
+    if pnl.shape != (cfg.count,):
+        raise ValueError(f"P&L vector has length {pnl.size}, expected {cfg.count}")
+    rank = var_index(cfg)
+    ordered = np.sort(pnl, kind="stable")
+    return float(ordered[rank - 1])
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -79,7 +169,7 @@ def penalty_term(psi: Sequence[float], penalties: Sequence[float]) -> float:
 def evaluate(problem: ProblemInstance, x: Sequence[int]) -> EvalBreakdown:
     """Scalar breakdown of one position."""
     eos = aggregate(problem.table, problem.decode(x))
-    total = problem.init + eos
+    total = add_features(problem.init, eos)
     psi = violations(eos, problem.constraints)
     mean = sample_pnl(total.pnl)
     var = beta_var(total.pnl, problem.var_cfg)

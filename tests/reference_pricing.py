@@ -1,4 +1,5 @@
-"""Independent scalar reference for ``ratpo.pricing.barone_adesi_whaley``.
+"""Independent scalar reference for ``ratpo.pricing.barone_adesi_whaley``,
+and the analytic Black-Scholes delta that checks ``strike_from_delta``.
 
 A scalar Barone-Adesi & Whaley (1987) pricer: separate call and put
 routines, a Python loop for the Newton iteration and a private Black-Scholes
@@ -10,6 +11,9 @@ except the European price at the input state, which comes from
 from __future__ import annotations
 
 import math
+
+import numpy as np
+from scipy.special import ndtr
 
 from ratpo.pricing import black_scholes
 
@@ -140,3 +144,10 @@ def barone_adesi_whaley(
     return _baw_put(spot, strike, tenor_years, rate, carry, vol)
 
 
+def bs_delta(spot: float, strike: float, tenor_years: float, rate: float, div_yield: float,
+             vol: float, is_call: bool) -> float:
+    """Analytic spot delta (per unit spot move), for the strike solver round trip."""
+    sig_sqrt = vol * np.sqrt(tenor_years)
+    d1 = (np.log(np.asarray(spot, float) / strike) + (rate - div_yield + 0.5 * np.square(vol)) * tenor_years) / sig_sqrt
+    disc = np.exp(-div_yield * tenor_years)
+    return disc * ndtr(d1) if is_call else -disc * ndtr(-d1)

@@ -22,9 +22,10 @@ from ratpo.oracle import enumerate_space
 from ratpo.pricing import PricingInputs, barone_adesi_whaley, black_scholes, bump_greeks, price
 from ratpo.pricing import Exercise as PricingExercise
 from ratpo.problem import build_structure, round_magnitude, search_space_size
-from ratpo.risk import VarConfig, beta_var, var_index
+from ratpo.risk import VarConfig, var_index
 from ratpo.swarm import RatsConfig, Swarm, run
 
+from reference import beta_var
 from test_pricing import crr_european
 
 

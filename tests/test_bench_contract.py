@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_toy_problem
+from conftest import build_problem_from_dataset, make_toy_problem
 
 from ratpo import cli
 from ratpo.oracle import enumerate_space
@@ -54,3 +54,24 @@ def test_layers_wrap_current_ratpo(bench):
     # positions_for decodes only the positions that pass the Greek screen:
     # 156 of the toy's 300.
     assert metrics["oracle.positions"] == 156
+
+
+def test_layers_see_the_pricers_of_a_problem_build(bench, reduced_dataset):
+    # The tracer swaps module attributes.  A pricer that the feature build
+    # reached through a reference taken at import time (a dispatch table, a
+    # default argument) would escape it, and the pricing.* metrics would read
+    # zero without any error.
+    layers, tracer = bench
+    t = tracer.Tracer()
+    layers.register(t)
+    t.install()
+    try:
+        build_problem_from_dataset(reduced_dataset, tau=0.5, grid_points=9)
+    finally:
+        t.uninstall()
+    names = {s.name for s in t.spans}
+    assert {"features.build_run_table", "pricing.black_scholes", "pricing.baw"} <= names
+    metrics = layers.layer_metrics(t.spans, reps=1)
+    assert metrics["features.instruments"] == 76
+    assert metrics["pricing.baw_calls"] >= 1
+    assert metrics["pricing.black_scholes_calls"] >= 1

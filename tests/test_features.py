@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import simple_market, simple_scenarios, simple_specs
+from reference import add_features
 
 from ratpo.features import FeatureError, FeatureLab, FeatureTable, InstrumentFeatures, aggregate
 from ratpo.instruments import Exercise, Kind, Portfolio, StaticInstrument
@@ -18,20 +19,24 @@ def lab_with(spot_returns=None, vol_shifts=None, rate_shifts=None, **market_kw):
     )
 
 
+def compute(lab, instrument_id):
+    return lab.build_table([instrument_id])[instrument_id]
+
+
 STOCK_ID = StaticInstrument("ACME", Kind.STOCK).id
 FUTURES_ID = StaticInstrument(".IDX", Kind.FUTURES, tenor_days=21).id
 
 
 class TestComputeFeatures:
     def test_zero_scenarios_give_zero_pnl(self, simple_lab):
-        f = simple_lab.compute(STOCK_ID)
+        f = compute(simple_lab, STOCK_ID)
         assert np.all(f.pnl == 0.0)
 
     def test_stock_two_percent_return(self):
         returns = np.zeros((4, 2))
         returns[:, 1] = 0.02  # ACME column
         lab = lab_with(spot_returns=returns)
-        f = lab.compute(STOCK_ID)
+        f = compute(lab, STOCK_ID)
         assert f.value == 100.0
         assert f.pnl == pytest.approx(np.full(4, 2.0), abs=1e-12)
 
@@ -40,14 +45,14 @@ class TestComputeFeatures:
         returns[0, 1] = 0.01  # same relative shock as the Delta bump
         lab = lab_with(spot_returns=returns)
         uei_call = "02|c|0.50|021"  # ACME is the second spec
-        f = lab.compute(uei_call)
+        f = compute(lab, uei_call)
         assert f.pnl[0] == f.delta
 
     def test_futures_base_value_zero_and_scenario_pnl(self):
         returns = np.zeros((4, 2))
         returns[1, 0] = 0.05  # .IDX column
         lab = lab_with(spot_returns=returns, rate=0.02)
-        f = lab.compute(FUTURES_ID)
+        f = compute(lab, FUTURES_ID)
         assert f.value == 0.0
         tau = 21 / 360
         expected = pricing.forward(3000 * 1.05, tau, 0.02, 0.0) - pricing.forward(3000, tau, 0.02, 0.0)
@@ -60,35 +65,35 @@ class TestComputeFeatures:
                                  exercise=Exercise.AMERICAN).id
         eu_id = StaticInstrument("ACME", Kind.PUT, strike=110.0, tenor_days=180,
                                  exercise=Exercise.EUROPEAN).id
-        am, eu = lab.compute(am_id), lab.compute(eu_id)
+        am, eu = compute(lab, am_id), compute(lab, eu_id)
         assert am.value > eu.value
 
     def test_rate_shift_moves_priced_instruments(self):
         shifts = np.zeros((4, 1))
         shifts[2, 0] = 0.01
         lab = lab_with(rate_shifts=shifts, rate=0.01)
-        f = lab.compute("01|c|0.50|049")  # .IDX call
+        f = compute(lab, "01|c|0.50|049")  # .IDX call
         assert f.pnl[2] != 0.0
 
     def test_unresolvable_id_rejected(self, simple_lab):
         with pytest.raises(FeatureError):
-            simple_lab.compute("99|c|0.50|021")
+            compute(simple_lab, "99|c|0.50|021")
         with pytest.raises(FeatureError):
-            simple_lab.compute("UNKNOWN|s")
+            compute(simple_lab, "UNKNOWN|s")
 
 
 class TestUnitCost:
     def test_stock_half_spread_on_full_exposure(self, simple_lab):
         # Delta = 1% of spot, exposure = spot, cost = spot * spread / 2.
-        f = simple_lab.compute(STOCK_ID)
+        f = compute(simple_lab, STOCK_ID)
         assert f.unit_cost == pytest.approx(0.5 * 100.0 * 0.001, rel=1e-12)
 
     def test_futures_flat_half_spread(self, simple_lab):
-        f = simple_lab.compute(FUTURES_ID)
+        f = compute(simple_lab, FUTURES_ID)
         assert f.unit_cost == 0.5 * 0.5
 
     def test_option_cost_includes_vega_leg(self, simple_lab):
-        f = simple_lab.compute("02|c|0.50|021")
+        f = compute(simple_lab, "02|c|0.50|021")
         delta_leg = 0.5 * (100.0 * abs(f.delta)) * 0.001
         vega_leg = 0.5 * (100.0 * abs(f.vega)) * 0.004
         assert f.unit_cost == pytest.approx(delta_leg + vega_leg, rel=1e-12)
@@ -99,7 +104,7 @@ class TestUnitCost:
         assert cost == pytest.approx(0.5 * 100.0 * 0.9 * 0.001, rel=1e-12)
 
     def test_cost_non_negative_for_puts(self, simple_lab):
-        f = simple_lab.compute("02|p|0.10|049")
+        f = compute(simple_lab, "02|p|0.10|049")
         assert f.delta < 0
         assert f.unit_cost > 0
 
@@ -142,7 +147,7 @@ class TestAggregate:
         p = Portfolio.from_pairs([("a", 2), ("b", -1)])
         h = Portfolio.from_pairs([("a", -5), ("b", 4)])
         combined = aggregate(table, p + h)
-        separate = aggregate(table, p) + aggregate(table, h)
+        separate = add_features(aggregate(table, p), aggregate(table, h))
         assert combined.value == pytest.approx(separate.value, rel=1e-15)
         assert combined.cost == pytest.approx(separate.cost, rel=1e-15)
         assert np.allclose(combined.pnl, separate.pnl, rtol=1e-15)

@@ -16,8 +16,13 @@ from ratpo.instruments import (
     StaticInstrument,
     Exercise,
     is_uei_id,
-    universe_size,
 )
+
+
+def universe_size(specs):
+    """Closed-form count: 6*|T|+1 per stock, 9*|T| per index."""
+    return sum(6 * len(s.tenor_domain) + 1 if s.category is Category.STOCK else 9 * len(s.tenor_domain)
+               for s in specs)
 
 
 def _spec(ticker, category, n_tenors, **kw):

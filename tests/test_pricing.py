@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import binom
 
 import reference_pricing
+from reference_pricing import bs_delta
 from ratpo import pricing
 from ratpo.datagen import gen_dataset
 from ratpo.features import FeatureLab
@@ -17,7 +18,6 @@ from ratpo.pricing import (
     PricingError,
     barone_adesi_whaley,
     black_scholes,
-    bs_delta,
     bump_greeks,
     forward,
     price,
@@ -180,8 +180,9 @@ class TestAmerican:
 
 def assert_matches_scalar_reference(spot, strike, tau, rate, div, vol, is_call):
     """The broadcasting pricer equals the scalar reference to 1e-10 * strike, element by element."""
-    args = [np.ravel(a) for a in np.broadcast_arrays(*map(np.asarray, (spot, strike, tau, rate, div, vol)))]
-    calls = np.ravel(np.broadcast_to(is_call, args[0].shape)).astype(bool)
+    *args, calls = [np.ravel(a) for a in np.broadcast_arrays(*map(np.asarray, (spot, strike, tau, rate, div, vol,
+                                                                                is_call)))]
+    calls = calls.astype(bool)
     got = barone_adesi_whaley(*args, calls)
     want = np.array([reference_pricing.barone_adesi_whaley(*map(float, case[:6]), bool(case[6]))
                      for case in zip(*args, calls)])
@@ -228,9 +229,9 @@ class TestBaroneAdesiWhaleyAgainstScalarReference:
 
         monkeypatch.setattr(pricing, "barone_adesi_whaley", spy)
         FeatureLab(dataset.market, dataset.scenarios, dataset.universe_specs).build_table(american)
-        sizes = sorted(np.broadcast(*args).size for args in calls)
-        # Per leg: one call over the four bump states (the base first) and the 250 scenarios.
-        assert sizes == [254] * len(american)
+        # Per leg: the four bump states (the base first) and the 250 scenarios,
+        # priced in as few calls as the chunks of the feature build allow.
+        assert sum(np.broadcast(*args).size for args in calls) == 254 * len(american)
         for args in calls:
             assert_matches_scalar_reference(*args)
 
@@ -298,6 +299,29 @@ class TestPriceDispatch:
         inputs = PricingInputs(spot=90, vol=0.3, tenor_years=1.0, rate=0.05,
                                strike=100.0, kind=Kind.PUT, exercise=Exercise.AMERICAN)
         assert price(inputs) == barone_adesi_whaley(90, 100, 1.0, 0.05, 0.0, 0.3, False)
+
+    def test_batch_rows_equal_single_instrument_prices(self):
+        book = [
+            PricingInputs(spot=90, vol=0.3, tenor_years=1.0, rate=0.05, strike=100.0, kind=Kind.PUT,
+                          exercise=Exercise.AMERICAN),
+            PricingInputs(spot=3000, vol=0.2, tenor_years=0.5, rate=0.02, div_yield=0.01, kind=Kind.FUTURES),
+            PricingInputs(spot=100, vol=0.25, tenor_years=0.5, rate=0.01, strike=95.0, kind=Kind.CALL),
+            PricingInputs(spot=3000, vol=0.2, tenor_years=0.5, rate=0.02, div_yield=0.01,
+                          kind=Kind.FUTURES).pinned(),
+            PricingInputs(spot=87.3, vol=0.2, tenor_years=0.0, kind=Kind.STOCK),
+            PricingInputs(spot=110, vol=0.3, tenor_years=0.7, rate=0.03, div_yield=0.02, strike=100.0,
+                          kind=Kind.CALL, exercise=Exercise.AMERICAN),
+        ]
+        factors = np.array([0.9, 1.0, 1.05])
+        spots = np.array([p.spot for p in book])[:, None] * factors
+        vols = np.array([p.vol for p in book])[:, None] + 0.01 * factors
+        rates = np.array([p.rate for p in book])[:, None]
+        batch = pricing.price_at(book, spots, vols, rates)
+        assert batch.shape == (len(book), 3)
+        for p, s, v, r, row in zip(book, spots, vols, rates, batch):
+            assert np.array_equal(row, pricing.price_at(p, s, v, r))
+        assert np.all(batch[1] == 0.0)  # unpinned: valued against its own forward
+        assert batch[3, 1] == 0.0 and batch[3, 2] > 0.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(PricingError):

