@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import datagen, fileio, oracle as oracle_mod, swarm as swarm_mod
-from .features import FeatureError, FeatureLab, aggregate
+from .features import FeatureError, FeatureLab, NonFiniteFeatures, aggregate
 from .instruments import QuoteError, UniverseError, build_universe, is_uei_id, parse_descriptor_id, parse_static_id
 from .pricing import PricingError
 from .problem import (
@@ -152,6 +152,11 @@ def build_problem(data_dir: str, cfg: ProblemConfig) -> ProblemInstance:
         return assemble_problem(dataset, cfg)
     except QuoteError as exc:
         raise fileio.SchemaError(paths["market.json"], str(exc)) from exc
+    except NonFiniteFeatures as exc:
+        if exc.row is None:
+            raise ConfigError(f"{data}: {exc}") from exc
+        # The value at the base state is finite, so the scenario row broke it.
+        raise fileio.SchemaError(paths["scenarios.csv"], str(exc)) from exc
     except (FeatureError, PricingError, StructureError, UniverseError) as exc:
         # Raised on inputs the loaders accept but that cannot be priced or sized.
         raise ConfigError(f"{data}: {exc}") from exc
@@ -316,7 +321,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         def progress(done: int, total: int) -> None:
-            print(f"oracle: {done}/{total} evaluated", file=sys.stderr)
+            print(f"oracle: {done}/{total} positions screened, bounded and scored", file=sys.stderr)
     try:
         result = oracle_mod.enumerate_space(
             problem, tau_eq=args.tau_eq, budget=args.budget, threads=args.threads, progress=progress,
@@ -337,7 +342,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             writer.writerow(head + [instrument_id, notional])
     (out / "oracle.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
     print(f"oracle: optimum {result.optimal_fitness:.6f} over {result.count} positions "
-          f"({result.feasible} feasible, {len(result.optimal_positions)} optimal, "
+          f"({result.feasible} feasible, {result.scored} scored, {len(result.optimal_positions)} optimal, "
           f"{result.wall_seconds:.2f}s)")
     return 0
 
@@ -476,7 +481,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--tau-eq", type=float, default=1e-12)
     p.add_argument("--threads", type=_at_least(1), default=1)
-    p.add_argument("--progress", action="store_true")
+    p.add_argument("--progress", action="store_true",
+                   help="after each block, print to stderr how many positions are screened, bounded and scored")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 

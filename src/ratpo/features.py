@@ -48,6 +48,20 @@ class FeatureError(ValueError):
     pass
 
 
+class NonFiniteFeatures(FeatureError):
+    """Instrument features that are not finite.
+
+    ``row`` is the first scenario row (1-based, in the order of the
+    scenario set's rows) whose P&L is not finite, or None when the value or
+    a Greek is at fault.  The message names ``instrument_id`` when given.
+    """
+
+    def __init__(self, row: Optional[int], instrument_id: Optional[str] = None):
+        what = "features must be finite" if row is None else f"P&L is not finite in scenario row {row}"
+        super().__init__(f"instrument {what}" if instrument_id is None else f"{instrument_id!r}: {what}")
+        self.row = row
+
+
 @dataclass(frozen=True)
 class InstrumentFeatures:
     """Per-unit-notional features of a single instrument."""
@@ -64,8 +78,11 @@ class InstrumentFeatures:
         if self.unit_cost < 0:
             raise FeatureError(f"unit cost must be non-negative, got {self.unit_cost}")
         scalars = (self.value, self.delta, self.vega, self.gamma, self.unit_cost)
-        if not all(map(math.isfinite, scalars)) or not np.all(np.isfinite(self.pnl)):
-            raise FeatureError("instrument features must be finite")
+        if not all(map(math.isfinite, scalars)):
+            raise NonFiniteFeatures(None)
+        finite = np.isfinite(self.pnl)
+        if not finite.all():
+            raise NonFiniteFeatures(int(np.argmin(finite)) + 1)
 
 
 @dataclass(frozen=True)
@@ -174,31 +191,30 @@ class FeatureLab:
 
     # -- id resolution ------------------------------------------------------
 
-    def _resolve(self, instrument_id: str) -> tuple[str, Kind, Optional[float], Optional[int], Exercise, Optional[float]]:
-        """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct)."""
+    def _resolve(self, instrument_id: str) -> tuple[str, Kind, Optional[float], Optional[int], Exercise,
+                                                    Optional[float], float]:
+        """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct, vol)."""
         if is_uei_id(instrument_id):
             d = parse_descriptor_id(instrument_id)
             if d.underlying_pos > len(self.specs):
                 raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
             ticker = self.specs[d.underlying_pos - 1].ticker
             if d.kind is Kind.STOCK:
-                return ticker, d.kind, None, None, Exercise.EUROPEAN, None
-            strike_abs = None
-            if d.kind.is_option:
-                strike_abs = self._delta_quoted_strike(ticker, d)
-            return ticker, d.kind, strike_abs, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct
+                return ticker, d.kind, None, None, Exercise.EUROPEAN, None, self._vol_for(ticker, None, None)
+            vol = self._vol_for(ticker, d.strike_delta_pct, d.tenor_days)
+            strike_abs = self._delta_quoted_strike(ticker, d, vol) if d.kind.is_option else None
+            return ticker, d.kind, strike_abs, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct, vol
         s = parse_static_id(instrument_id)
         if s.ticker not in self.market.underlyings:
             raise FeatureError(f"{instrument_id!r}: no market data for {s.ticker!r}")
         exercise = Exercise.EUROPEAN if s.exercise is None else s.exercise
-        return s.ticker, s.kind, s.strike, s.tenor_days, exercise, None
+        return s.ticker, s.kind, s.strike, s.tenor_days, exercise, None, self._vol_for(s.ticker, None, s.tenor_days)
 
-    def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor) -> float:
+    def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor, vol: float) -> float:
         u = self.market.underlying(ticker)
         tau = d.tenor_days / self.day_count
         return pricing.strike_from_delta(
-            u.spot, tau, self.market.rate_for(ticker), u.div_yield,
-            self._vol_for(ticker, d.strike_delta_pct, d.tenor_days), d.strike_delta_pct, d.kind,
+            u.spot, tau, self.market.rate_for(ticker), u.div_yield, vol, d.strike_delta_pct, d.kind,
         )
 
     def _vol_for(self, ticker: str, strike_delta_pct: Optional[float], tenor_days: Optional[int]) -> float:
@@ -215,11 +231,10 @@ class FeatureLab:
     # -- features -----------------------------------------------------------
 
     def _resolved(self, instrument_id: str) -> _Resolved:
-        ticker, kind, strike_abs, tenor_days, exercise, strike_pct = self._resolve(instrument_id)
+        ticker, kind, strike_abs, tenor_days, exercise, strike_pct, vol = self._resolve(instrument_id)
         u = self.market.underlying(ticker)
         rate = self.market.rate_for(ticker)
         tau = 0.0 if tenor_days is None else tenor_days / self.day_count
-        vol = self._vol_for(ticker, strike_pct, tenor_days)
         base = PricingInputs(
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
             strike=strike_abs, kind=kind, exercise=exercise,
@@ -253,7 +268,10 @@ class FeatureLab:
             # One P&L array per instrument: views of a (chunk, S) block among
             # the pricers' temporaries of nearly its size fragment the heap
             # (bench table1_swarm peak RSS 72.7 against 71.7 MiB on 2 vCPUs).
-            out[r.id] = InstrumentFeatures(value, row - value, delta, vega, gamma, cost)
+            try:
+                out[r.id] = InstrumentFeatures(value, row - value, delta, vega, gamma, cost)
+            except NonFiniteFeatures as exc:
+                raise NonFiniteFeatures(exc.row, r.id) from None
         return out
 
     def _unit_cost(
@@ -290,8 +308,12 @@ class FeatureLab:
         """
         resolved = [self._resolved(instrument_id) for instrument_id in dict.fromkeys(ids)]
         entries: dict[str, InstrumentFeatures] = {}
-        for start in range(0, len(resolved), _CHUNK):
-            entries.update(self._features(resolved[start:start + _CHUNK]))
+        # An overflowing scenario prices to inf or nan, and InstrumentFeatures
+        # then rejects it naming the instrument and the scenario row; numpy's
+        # warnings would only repeat that without either.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(resolved), _CHUNK):
+                entries.update(self._features(resolved[start:start + _CHUNK]))
         return FeatureTable(entries, self.scenarios.count)
 
     def build_run_table(self, universe: Sequence[UeiDescriptor], portfolio: Portfolio) -> FeatureTable:

@@ -10,6 +10,7 @@ universe index used by the optimizer's position encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -79,8 +80,10 @@ class UeiDescriptor:
             if not 0 < self.tenor_days <= 999:
                 raise UniverseError(f"tenor_days must be in [1, 999], got {self.tenor_days}")
 
-    @property
+    @cached_property
     def id(self) -> str:
+        """:func:`descriptor_id`, formatted once per descriptor: a build reads
+        each universe id several times (sort key, feature table, problem)."""
         return descriptor_id(self)
 
 
@@ -178,7 +181,7 @@ def build_universe(specs: Sequence[UnderlyingSpec]) -> list[UeiDescriptor]:
                     out.append(UeiDescriptor(pos, kind, strike, tenor))
         if spec.category is Category.STOCK:
             out.append(UeiDescriptor(pos, Kind.STOCK))
-    out.sort(key=descriptor_id)
+    out.sort(key=lambda d: d.id)
     return out
 
 

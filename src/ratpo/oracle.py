@@ -1,20 +1,37 @@
 """Exhaustive enumeration of the strategy space on small instances.
 
 Walks the slot-range x grid-index product in lexicographic order (last digit
-fastest).  The scan is feasibility-first.  First the whole box's feasible
-mask comes from :meth:`BatchEvaluator.feasible_slice`, which adds small
-per-slot Greek tables instead of decoding positions, in leading-digit chunks
-of at most ``block_size`` positions.  Then each block of ``block_size`` flat
-indices decodes only its feasible positions and evaluates their full
-fitness (P&L, VaR, cost).  The mask is bit-identical to the one
-:meth:`BatchEvaluator.evaluate` computes, so the optimum and the optimal set
-are the ones a full scan finds.  The empty position is feasible for any
-limits and always enumerated, so the status is always ``"optimal"``; when
-every feasible position's denominator is degenerate, they all tie at an
-infinite optimum.
+fastest), in three steps, each over blocks of at most ``block_size``
+positions of the box:
 
-Chunks and blocks may be scanned in parallel; the reduction over block
-summaries is sequential and therefore deterministic.
+1. Screen.  The whole box's feasible mask comes from
+   :meth:`BatchEvaluator.feasible_slice`, which adds small per-slot Greek
+   tables instead of decoding positions, in leading-digit chunks on
+   ``threads`` workers.  The mask is bit-identical to the one
+   :meth:`BatchEvaluator.evaluate` computes.
+2. Floor.  Each block decodes its feasible positions and gets a lower bound
+   on their fitness from :meth:`BatchEvaluator.fitness_floor`, with no P&L
+   row built.  The few positions with the lowest floors are scored in full,
+   and the best of their fitnesses is the incumbent.
+3. Score.  Each block runs the full fitness (P&L, VaR, cost) only on the
+   feasible positions whose floor is at most ``incumbent + tau_eq``.
+
+Steps 2 and 3 run in the calling thread: they are many small numpy calls,
+and on the reduced instance (2 vCPUs) a second thread made them slower.
+
+Step 3 is exact: it is the pruning rule of branch and bound (Land & Doig,
+1960).  A pruned position has ``fitness >= floor > incumbent + tau_eq >=
+best + tau_eq``, so it is neither the optimum nor in the optimal set, and
+the result is the one a full scan finds.  When every fitness is infinite the
+incumbent is too, and nothing is pruned.
+
+The optimal set is every feasible position with ``fitness <= best +
+tau_eq``, in enumeration order; the first ``MAX_OPTIMAL_SET`` of them are
+kept, and ``truncated`` says that the set holds more.  The empty position is
+feasible for any limits and always enumerated, so the status is always
+``"optimal"``; when every feasible position's denominator is degenerate,
+they all tie at an infinite optimum.  Every step's output is in enumeration
+order, so the result depends on neither the thread count nor the block size.
 """
 
 from __future__ import annotations
@@ -48,12 +65,11 @@ class OracleResult:
     status: str  # always "optimal": the empty position is feasible
     truncated: bool = False
     feasible: int = 0  # positions that pass the sensitivity limits
+    scored: int = 0  # rows the full fitness evaluated, the incumbent's included
 
 
-@dataclass
-class _BlockSummary:
-    best_fit: float
-    candidates: list[tuple[float, np.ndarray]]
+#: Lowest-floor positions scored in full for the incumbent.
+_INCUMBENT_ROWS = 64
 
 
 class Enumerator:
@@ -101,25 +117,21 @@ class Enumerator:
         prefixes, step = self.total // tail, block_size // tail
         mask = np.empty(self.total, dtype=bool)
 
-        def screen(first: int) -> None:
-            last = min(first + step, prefixes)
-            chunk = self._decode(np.arange(first, last, dtype=np.int64), k)
-            mask[first * tail: last * tail] = self.evaluator.feasible_slice(chunk)
+        def screen(firsts: range) -> None:
+            # One work array for all of this worker's chunks (feasible_slice).
+            work = np.empty(3 * min(step, prefixes) * tail)
+            for first in firsts:
+                last = min(first + step, prefixes)
+                chunk = self._decode(np.arange(first, last, dtype=np.int64), k)
+                mask[first * tail: last * tail] = self.evaluator.feasible_slice(chunk, work)
 
+        # Worker w screens chunks w, w + threads, ...: interleaved, so the
+        # workers' shares stay even.
+        shares = [range(w * step, prefixes, threads * step) for w in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in (pool.map if threads > 1 else map)(screen, range(0, prefixes, step)):
+            for _ in (pool.map if threads > 1 else map)(screen, shares):
                 pass
         return mask
-
-    def _scan_block(self, start: int, stop: int, mask: np.ndarray, tau_eq: float) -> _BlockSummary:
-        rows = np.flatnonzero(mask[start:stop])
-        if not rows.size:
-            return _BlockSummary(np.inf, [])
-        feasible = self.positions_for(start + rows)
-        fit = self.evaluator.evaluate(feasible)["fitness"]
-        best = float(fit.min())
-        near = np.flatnonzero(fit <= best + tau_eq)
-        return _BlockSummary(best, [(float(fit[i]), feasible[i].copy()) for i in near])
 
     def enumerate(
         self,
@@ -129,47 +141,45 @@ class Enumerator:
         threads: int = 1,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> OracleResult:
+        """The optimum and the optimal set over the whole box (module docstring).
+
+        ``progress(done, total)`` is called once per block of the scoring
+        step, in block order: ``done`` box positions, every block up to this
+        one, have been screened, bounded and scored out of ``total``.
+        """
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         if self.total > budget:
             raise BudgetExceeded(self.total, budget)
         t0 = time.perf_counter()
-        mask = self.feasible_mask(block_size, threads)
-        ranges = [(a, min(a + block_size, self.total)) for a in range(0, self.total, block_size)]
+        feasible = np.flatnonzero(self.feasible_mask(block_size, threads))
+        # Block b holds the feasible flat indices feasible[cuts[b]:cuts[b + 1]].
+        stops = [min(a + block_size, self.total) for a in range(0, self.total, block_size)]
+        cuts = np.searchsorted(feasible, [0] + stops)
+        blocks = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
-        def scan(r: tuple[int, int]) -> _BlockSummary:
-            return self._scan_block(*r, mask, tau_eq)
+        floors = np.concatenate([self.evaluator.fitness_floor(self.positions_for(feasible[b])) for b in blocks])
+        picks = np.argpartition(floors, min(_INCUMBENT_ROWS, floors.size) - 1)[:_INCUMBENT_ROWS]
+        incumbent = float(self.evaluator.evaluate(self.positions_for(feasible[picks]))["fitness"].min())
+        bar = incumbent + tau_eq
 
-        summaries: list[_BlockSummary] = []
-        done = 0
-        # No worker thread starts before the first submit, so one thread costs nothing here.
-        # Both maps yield in block order, so the reduction below runs in enumeration order.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = pool.map(scan, ranges) if threads > 1 else map(scan, ranges)
-            for (start, stop), summary in zip(ranges, blocks):
-                summaries.append(summary)
-                done += stop - start
-                if progress is not None:
-                    progress(done, self.total)
+        near_rows, near_fits = [], []
+        for b, stop in zip(blocks, stops):
+            rows = feasible[b][floors[b] <= bar]
+            if rows.size:
+                fit = self.evaluator.evaluate(self.positions_for(rows))["fitness"]
+                near_rows.append(rows[fit <= bar])
+                near_fits.append(fit[fit <= bar])
+            if progress is not None:
+                progress(stop, self.total)
+        scored = picks.size + int(np.count_nonzero(floors <= bar))
 
-        best_fit = np.inf
-        candidates: list[tuple[float, np.ndarray]] = []
-        truncated = False
-        for s in summaries:
-            if s.best_fit < best_fit - tau_eq:
-                best_fit = s.best_fit
-                candidates = [c for c in candidates if c[0] <= best_fit + tau_eq]
-            elif s.best_fit < best_fit:
-                best_fit = s.best_fit
-            candidates.extend(c for c in s.candidates if c[0] <= best_fit + tau_eq)
-            if len(candidates) > MAX_OPTIMAL_SET:
-                candidates = candidates[:MAX_OPTIMAL_SET]
-                truncated = True
-
+        rows, fits = np.concatenate(near_rows), np.concatenate(near_fits)
+        best = float(fits.min())
+        optimal = rows[fits <= best + tau_eq]
         wall = time.perf_counter() - t0
-        kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
-        return OracleResult(float(best_fit), kept, self.total, wall, "optimal", truncated,
-                            int(np.count_nonzero(mask)))
+        return OracleResult(best, list(self.positions_for(optimal[:MAX_OPTIMAL_SET])), self.total, wall,
+                            "optimal", optimal.size > MAX_OPTIMAL_SET, int(feasible.size), scored)
 
 
 def enumerate_space(problem: ProblemInstance, **kwargs) -> OracleResult:

@@ -16,10 +16,9 @@ product: the P&L and the Greeks accumulate in a Python loop over slots.  Its
 summation order is the one the sparse product must keep, so tests compare
 the two byte for byte.
 
-:func:`full_scan_enumerate` is the exhaustive oracle as it was before the
-feasibility-first scan: every block runs the full fitness on every position,
-and a space whose best feasible fitness is infinite reports ``"no_feasible"``
-with the least-violation position of the blocks that had no feasible row.
+:func:`full_scan_enumerate` is the exhaustive oracle without the Greek
+screen or the fitness floor: every block runs the full fitness on every
+position, and the optimal set is read off the feasible ones.
 
 :func:`slice_positions` lists the positions of a slice of the box the way
 ``BatchEvaluator.feasible_slice`` orders its mask, from a Cartesian product
@@ -40,6 +39,7 @@ from ratpo.features import (
     FeatureLab,
     FeatureTable,
     InstrumentFeatures,
+    NonFiniteFeatures,
     PortfolioFeatures,
     _naming,
     aggregate,
@@ -61,7 +61,7 @@ def _price_one(base: pricing.PricingInputs, spot: np.ndarray, vol: np.ndarray, r
 
 def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatures:
     """Features of one instrument from one pricer call of its own."""
-    ticker, kind, strike_abs, tenor_days, exercise, strike_pct = lab._resolve(instrument_id)
+    ticker, kind, strike_abs, tenor_days, exercise, strike_pct, _ = lab._resolve(instrument_id)
     u = lab.market.underlying(ticker)
     rate = lab.market.rate_for(ticker)
     tau = 0.0 if tenor_days is None else tenor_days / lab.day_count
@@ -87,7 +87,10 @@ def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatur
         cost = lab._unit_cost(u, kind, delta, vega, strike_pct)
     except QuoteError as exc:
         raise _naming(ticker, exc) from None
-    return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
+    try:
+        return InstrumentFeatures(v0, values[bump_spots.size:] - v0, delta, vega, gamma, cost)
+    except NonFiniteFeatures as exc:
+        raise NonFiniteFeatures(exc.row, instrument_id) from None
 
 
 def feature_table(lab: FeatureLab, ids: Sequence[str]) -> FeatureTable:
@@ -267,44 +270,26 @@ def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[
 
 def full_scan_enumerate(problem: ProblemInstance, tau_eq: float = 1e-12,
                         block_size: int = 65_536) -> oracle.OracleResult:
-    """Sequential full-scan oracle; truncates at ``oracle.MAX_OPTIMAL_SET`` as read at call time."""
+    """Sequential full-scan oracle; truncates at ``oracle.MAX_OPTIMAL_SET`` as read at call time.
+
+    The optimal set is every feasible position with ``fitness <= best +
+    tau_eq``, in enumeration order, cut to its first ``MAX_OPTIMAL_SET``
+    positions; ``truncated`` says that it holds more.  When every feasible
+    fitness is infinite, they all tie at the infinite optimum.
+    """
     en = oracle.Enumerator(problem)
-    best_fit = np.inf
-    candidates: list[tuple[float, np.ndarray]] = []
-    best_violation = np.inf
-    best_violation_pos = None
-    truncated = False
+    feasible, fits = [], []
     for start in range(0, en.total, block_size):
         positions = en.positions_for(start, min(start + block_size, en.total))
         res = problem.evaluator.evaluate(positions)
-        feasible = res["feasible"]
-        block_best, block_candidates = np.inf, []
-        if feasible.any():
-            fit = np.where(feasible, res["fitness"], np.inf)
-            block_best = float(fit.min())
-            near = np.flatnonzero(fit <= block_best + tau_eq)
-            block_candidates = [(float(fit[i]), positions[i].copy()) for i in near]
-        else:
-            total_psi = res["psi"].sum(axis=1)
-            i = int(np.argmin(total_psi))
-            if total_psi[i] < best_violation:
-                best_violation, best_violation_pos = float(total_psi[i]), positions[i].copy()
-
-        if block_best < best_fit - tau_eq:
-            best_fit = block_best
-            candidates = [c for c in candidates if c[0] <= best_fit + tau_eq]
-        elif block_best < best_fit:
-            best_fit = block_best
-        candidates.extend(c for c in block_candidates if c[0] <= best_fit + tau_eq)
-        if len(candidates) > oracle.MAX_OPTIMAL_SET:
-            candidates = candidates[:oracle.MAX_OPTIMAL_SET]
-            truncated = True
-
-    if not np.isfinite(best_fit):
-        positions = [best_violation_pos] if best_violation_pos is not None else []
-        return oracle.OracleResult(np.inf, positions, en.total, 0.0, "no_feasible", truncated)
-    kept = [pos for fit, pos in candidates if fit <= best_fit + tau_eq]
-    return oracle.OracleResult(float(best_fit), kept, en.total, 0.0, "optimal", truncated)
+        feasible.append(positions[res["feasible"]])
+        fits.append(res["fitness"][res["feasible"]])
+    positions, fit = np.concatenate(feasible), np.concatenate(fits)
+    best = float(fit.min())
+    optimal = positions[fit <= best + tau_eq]
+    cap = oracle.MAX_OPTIMAL_SET
+    return oracle.OracleResult(best, list(optimal[:cap]), en.total, 0.0, "optimal", len(optimal) > cap,
+                               len(positions))
 
 
 def slice_positions(problem: ProblemInstance, prefixes: np.ndarray) -> np.ndarray:

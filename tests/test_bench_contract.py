@@ -39,7 +39,7 @@ def test_layers_wrap_current_ratpo(bench):
         assert BatchEvaluator.evaluate is not original_evaluate
         problem = make_toy_problem()
         Swarm(RatsConfig(particles=20, k_max=2, k_max_stall=10, seed=1, threads=2), problem).run()
-        enumerate_space(problem, budget=1000, block_size=100)
+        result = enumerate_space(problem, budget=1000, block_size=100)
     finally:
         t.uninstall()
     assert cli.build_problem is original_build
@@ -51,9 +51,11 @@ def test_layers_wrap_current_ratpo(bench):
             "oracle.enumerate", "oracle.positions_for"} <= names
     metrics = layers.layer_metrics(t.spans, reps=1)
     assert metrics["swarm.iterations"] == 2
-    # positions_for decodes only the positions that pass the Greek screen:
-    # 156 of the toy's 300.
-    assert metrics["oracle.positions"] == 156
+    # positions_for decodes each position that passes the Greek screen (156
+    # of the toy's 300) once for its fitness floor, then each position that
+    # the full fitness scores, and last the optimal set.
+    assert result.feasible == 156
+    assert metrics["oracle.positions"] == result.feasible + result.scored + len(result.optimal_positions)
 
 
 def test_layers_see_the_pricers_of_a_problem_build(bench, reduced_dataset):

@@ -375,8 +375,9 @@ class TestOracleCmd:
                      "--budget", "100000", "--out", str(tmp_path / "oracle")]) == 0
         summary = capsys.readouterr().out
         expected = enumerate_space(build_problem(str(data_dir), load_problem_config(problem)), budget=100000)
-        assert 0 < expected.feasible < expected.count
-        assert f"over {expected.count} positions ({expected.feasible} feasible, " in summary
+        assert 0 < expected.scored < expected.feasible < expected.count
+        assert (f"over {expected.count} positions ({expected.feasible} feasible, {expected.scored} scored, "
+                f"{len(expected.optimal_positions)} optimal, ") in summary
 
     def test_truncated_optimal_set_marked_in_csv(self, data_dir, tmp_path, monkeypatch):
         from ratpo import oracle

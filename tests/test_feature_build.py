@@ -17,7 +17,7 @@ import reference
 from ratpo import features, fileio
 from ratpo.cli import ProblemConfig, assemble_problem, main
 from ratpo.datagen import Dataset, gen_dataset
-from ratpo.features import FeatureError, FeatureLab
+from ratpo.features import FeatureError, FeatureLab, NonFiniteFeatures
 from ratpo.instruments import Exercise, Kind, QuoteError, StaticInstrument, build_universe
 
 
@@ -106,10 +106,10 @@ def per_instrument(monkeypatch):
     monkeypatch.setattr(FeatureLab, "build_table", reference.feature_table)
 
 
-def features_cli(data, problem_json, out):
+def features_cli(data, problem_json, out, warn="ignore"):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter(warn, RuntimeWarning)
         code = main(["features", "--data-dir", str(data), "--problem", str(problem_json), "--out", str(out)])
     return code, err.getvalue()
 
@@ -157,7 +157,8 @@ def _overflow_index_return(data):
     (_append_leg("NOPE|s"), FeatureError, "'NOPE|s': no market data for 'NOPE'", "portfolio.csv"),
     (_append_leg("09|c|0.50|021"), FeatureError, "'09|c|0.50|021': underlying position outside universe spec",
      "portfolio.csv"),
-    (_overflow_index_return, FeatureError, "instrument features must be finite", ""),
+    (_overflow_index_return, NonFiniteFeatures, "'01|c|0.10|021': P&L is not finite in scenario row 3",
+     "scenarios.csv"),
 ], ids=["vol-quote", "vol-spread", "static-without-market", "position-outside-spec", "non-finite"])
 def test_errors_equal_the_per_instrument_build(data_dir, problem_json, tmp_path, monkeypatch,
                                                mutate, error, message, culprit):
@@ -179,6 +180,8 @@ def test_errors_equal_the_per_instrument_build(data_dir, problem_json, tmp_path,
         return str(exc.value), features_cli(data, problem_json, tmp_path / "f.csv")
 
     batched = outcomes()
+    # The batched build lets no numpy warning through to the CLI.
+    assert features_cli(data, problem_json, tmp_path / "f.csv", warn="error") == batched[1]
     per_instrument(monkeypatch)
     assert outcomes() == batched
     text, (code, err) = batched

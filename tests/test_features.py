@@ -173,7 +173,7 @@ class TestAggregationOracle:
         day_count = lab.day_count
         out = np.zeros(scenarios.count)
         for instrument_id, notional in legs:
-            ticker, kind, strike_abs, tenor_days, exercise, strike_pct = lab._resolve(instrument_id)
+            ticker, kind, strike_abs, tenor_days, exercise, strike_pct, _ = lab._resolve(instrument_id)
             u = market.underlying(ticker)
             rate = market.rate_for(ticker)
             tau = 0.0 if tenor_days is None else tenor_days / day_count

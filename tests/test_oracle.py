@@ -10,7 +10,7 @@ from conftest import make_toy_problem
 
 from ratpo import oracle
 from ratpo.oracle import BudgetExceeded, Enumerator, enumerate_space
-from ratpo.problem import EosStructure, SlotSpec, search_space_size
+from ratpo.problem import BatchEvaluator, EosStructure, SlotSpec, search_space_size
 
 
 def single_slot_problem():
@@ -89,6 +89,36 @@ class TestEnumeration:
         assert cut.optimal_fitness == full.optimal_fitness
         assert [p.tolist() for p in cut.optimal_positions] == \
             [p.tolist() for p in full.optimal_positions[:2]]
+
+    @pytest.mark.parametrize("fits, optimal, truncated", [
+        # Block 1 ties three positions at 1.0, block 2 has a better 0.5: only the 0.5 is optimal.
+        ([1.0, 1.0, 1.0, 0.5, 2.0, 2.0], [3], False),
+        # Block 2 improves the best by less than tau_eq: all three of block 1's
+        # ties at 1.0 stay optimal, so the set holds four positions.
+        ([1.0, 1.0, 1.0, 1.0 - 0.5e-12, 2.0, 2.0], [0, 1], True),
+        # As above, but block 1's first position falls out of the set.
+        ([1.0 + 0.9e-12, 1.0, 1.0, 1.0 - 0.5e-12, 2.0, 2.0], [1, 2], True),
+    ])
+    def test_optimal_set_does_not_depend_on_blocks(self, monkeypatch, fits, optimal, truncated):
+        """The set is every feasible position with fitness <= best + tau_eq, in
+        enumeration order and cut to MAX_OPTIMAL_SET, whatever blocks the
+        positions were scored in."""
+        problem = single_slot_problem()
+        en = Enumerator(problem)
+
+        def evaluate(self, positions):
+            flat = (positions[:, 0] - 1) * 3 + positions[:, 1]
+            return {"fitness": np.array(fits)[flat]}
+
+        monkeypatch.setattr(oracle, "MAX_OPTIMAL_SET", 2)
+        monkeypatch.setattr(Enumerator, "feasible_mask", lambda self, *args: np.ones(6, dtype=bool))
+        monkeypatch.setattr(BatchEvaluator, "evaluate", evaluate)
+        monkeypatch.setattr(BatchEvaluator, "fitness_floor", lambda self, positions: np.full(len(positions), -np.inf))
+        for threads in (1, 2):
+            result = enumerate_space(problem, budget=100, block_size=3, threads=threads)
+            assert result.optimal_fitness == min(fits)
+            assert [p.tolist() for p in result.optimal_positions] == en.positions_for(np.array(optimal)).tolist()
+            assert result.truncated is truncated
 
     def test_block_size_does_not_change_result(self, toy_problem):
         a = enumerate_space(toy_problem, budget=1000, block_size=7)

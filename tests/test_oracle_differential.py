@@ -1,12 +1,13 @@
-"""The feasibility-first oracle against the full-scan reference
+"""The bound-and-prune oracle against the full-scan reference
 (``reference.full_scan_enumerate``) on random small problems.
 
-Both walk the same blocks in the same order, so the optimum, the optimal
-positions and their order, ``truncated`` and ``count`` must be equal, for
-every block size and thread count.  The problems are the evaluator property
-tests' exact quarter-valued ones (``tau = 0`` limits and degenerate
-denominators included), half of them with a book that loses in every
-scenario, so that finite optima are as common as infinite ones.
+The reference evaluates every position and reads the optimal set off the
+feasible ones, with no Greek screen and no fitness floor.  The optimum, the
+optimal positions and their order, ``truncated``, ``count`` and the feasible
+count must be equal, for every block size and thread count.  The problems are
+the evaluator property tests' exact quarter-valued ones (``tau = 0`` limits
+and degenerate denominators included), half of them with a book that loses in
+every scenario, so that finite optima are as common as infinite ones.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import reference
 from test_evaluator_properties import problems
 
 from ratpo import oracle
-from ratpo.oracle import Enumerator, enumerate_space
+from ratpo.oracle import enumerate_space
 from ratpo.problem import ProblemInstance, search_space_size
 
 #: Search-space cap per block size: a block of one position is one evaluator call per position.
@@ -39,28 +40,13 @@ def losing_book(problem: ProblemInstance) -> ProblemInstance:
 oracle_problems = st.one_of(problems(), problems().map(losing_book))
 
 
-def expected_result(problem: ProblemInstance, block_size: int) -> oracle.OracleResult:
-    ref = reference.full_scan_enumerate(problem, block_size=block_size)
-    if ref.status == "optimal":
-        return ref
-    # The reference reports "no_feasible" when every feasible position has an
-    # infinite fitness (no denominator below -epsilon).  The empty position is
-    # always feasible, so the oracle returns every feasible position instead,
-    # tied at +inf, in enumeration order.
-    en = Enumerator(problem)
-    every = en.positions_for(0, en.total)
-    feasible = every[problem.evaluator.evaluate(every)["feasible"]]
-    assert feasible.size and ref.optimal_fitness == np.inf
-    cap = oracle.MAX_OPTIMAL_SET
-    return oracle.OracleResult(np.inf, list(feasible[:cap]), en.total, 0.0, "optimal", len(feasible) > cap)
-
-
 def assert_same_result(got: oracle.OracleResult, want: oracle.OracleResult) -> None:
     assert got.status == want.status == "optimal"
     assert got.optimal_fitness == want.optimal_fitness
     assert [p.tolist() for p in got.optimal_positions] == [p.tolist() for p in want.optimal_positions]
     assert got.truncated == want.truncated
     assert got.count == want.count
+    assert got.feasible == want.feasible
 
 
 @pytest.mark.parametrize("block_size", sorted(MAX_SPACE))
@@ -70,7 +56,7 @@ def test_feasibility_first_equals_full_scan(block_size, problem):
     assume(search_space_size(problem.structure) <= MAX_SPACE[block_size])
     for cap in (oracle.MAX_OPTIMAL_SET, 2):
         with mock.patch.object(oracle, "MAX_OPTIMAL_SET", cap):
-            want = expected_result(problem, block_size)
+            want = reference.full_scan_enumerate(problem, block_size=block_size)
             for threads in (1, 2):
                 got = enumerate_space(problem, budget=10**6, block_size=block_size, threads=threads)
                 assert_same_result(got, want)
@@ -86,9 +72,9 @@ def test_strategy_covers_the_named_cases():
     def scan(problem):
         assume(search_space_size(problem.structure) <= MAX_SPACE[7])
         full = reference.full_scan_enumerate(problem)
-        seen["finite"] |= full.status == "optimal"
-        seen["infinite"] |= full.status == "no_feasible"
-        seen["truncated"] |= full.status == "optimal" and len(full.optimal_positions) > 2
+        seen["finite"] |= bool(np.isfinite(full.optimal_fitness))
+        seen["infinite"] |= full.optimal_fitness == np.inf
+        seen["truncated"] |= bool(np.isfinite(full.optimal_fitness)) and len(full.optimal_positions) > 2
         seen["tau0"] |= 0.0 in (problem.constraints.tau_delta, problem.constraints.tau_vega,
                                 problem.constraints.tau_gamma)
         seen["blocks"] |= full.count > 7

@@ -4,8 +4,8 @@
 ``BatchEvaluator.feasible_slice``, which adds per-slot Greek tables instead of
 decoding positions and building CSR weights.  Its mask must carry the bytes of
 ``evaluate(every position)["feasible"]`` for every block size and thread
-count, and ``enumerate`` must then decode and score exactly the feasible
-positions.
+count, and ``enumerate`` must then bound exactly the feasible positions and
+score only feasible ones.
 """
 
 from __future__ import annotations
@@ -113,28 +113,51 @@ def test_reduced_mask_matches_evaluate(reduced_masks, tau):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_enumerate_scores_exactly_the_feasible_rows(reduced_masks, threads):
+def test_enumerate_bounds_every_feasible_row_and_scores_few(reduced_masks, threads):
+    """Floors are taken of every feasible position once and of no other; the
+    full fitness runs on feasible positions only, as many rows as ``scored``
+    reports.  Worker threads may call in any order, and enumeration order is
+    lexicographic, so the bounded rows are compared sorted."""
     problems_and_masks = [reduced_masks[0.5]]
     toy = make_toy_problem()
     problems_and_masks.append((toy, full_mask(toy)))
     for problem, want in problems_and_masks:
-        decoded, scored = [], []
-        positions_for, evaluate = Enumerator.positions_for, BatchEvaluator.evaluate
+        bounded, scored = [], []
+        fitness_floor, evaluate = BatchEvaluator.fitness_floor, BatchEvaluator.evaluate
 
-        def decode(self, *args):
-            out = positions_for(self, *args)
-            decoded.append(len(out))
-            return out
+        def bound(self, positions):
+            bounded.append(positions)
+            return fitness_floor(self, positions)
 
         def score(self, positions):
-            scored.append(len(positions))
+            scored.append(positions)
             return evaluate(self, positions)
 
-        with mock.patch.object(Enumerator, "positions_for", decode), \
+        with mock.patch.object(BatchEvaluator, "fitness_floor", bound), \
                 mock.patch.object(BatchEvaluator, "evaluate", score):
             result = enumerate_space(problem, budget=10**6, threads=threads)
-        assert result.feasible == sum(decoded) == sum(scored) == int(want.sum())
+        en = Enumerator(problem)
+        assert sorted(np.concatenate(bounded).tolist()) == en.positions_for(np.flatnonzero(want)).tolist()
+        assert all(problem.evaluator.feasible_slice(rows).all() for rows in scored)
+        assert result.scored == sum(map(len, scored))
+        assert result.feasible == int(want.sum())
         assert 0 < result.feasible < result.count
+
+
+def test_reduced_oracle_scores_few_of_the_feasible_rows(reduced_masks):
+    """At tau_g 0.5 the optimum and the 90-position optimal set are those of
+    every feasible position scored in full, while fewer than one in five of
+    them is scored."""
+    problem, mask = reduced_masks[0.5]
+    en = Enumerator(problem)
+    feasible = en.positions_for(np.flatnonzero(mask))
+    fit = problem.evaluator.evaluate(feasible)["fitness"]
+    best = fit.min()
+    result = enumerate_space(problem, budget=10**6, threads=2)
+    assert result.optimal_fitness == best
+    assert [p.tolist() for p in result.optimal_positions] == feasible[fit <= best + 1e-12].tolist()
+    assert len(result.optimal_positions) == 90 and not result.truncated
+    assert result.scored < result.feasible / 5
 
 
 def test_feasible_slice_rejects_bad_prefixes(toy_problem):
