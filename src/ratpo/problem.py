@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -420,16 +421,14 @@ class BatchEvaluator:
         self._penalties = np.array(problem.constraints.penalties)
         self._groups = structure.range_groups()
 
-        # fitness_floor's per-instrument P&L tables, and the initial book's
-        # row: scenario mean, min and max, and the largest magnitude.
-        pnl = self._features[:, :s]
-        self._pnl_mean, self._pnl_min, self._pnl_max = pnl.mean(axis=1), pnl.min(axis=1), pnl.max(axis=1)
-        self._pnl_abs = np.maximum(np.abs(self._pnl_min), np.abs(self._pnl_max))
-        # Rounding slack per unit of a row's total magnitude.  A P&L entry
-        # carries at most 2(m + 1) roundings, its mean S + 1 more, a table
-        # mean S + 1 and the floor's own sums 2m + 2, each at most half an
-        # epsilon of that magnitude: far fewer than 2(m + S + 8) epsilons.
-        self._slack = 2.0 * (self.m + s + 8) * np.finfo(float).eps
+    @cached_property
+    def _pnl_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """fitness_floor's tables, one entry per instrument and a last one for
+        the initial book: scenario mean, min, max and largest magnitude.
+        Built on first use: the swarm never bounds a fitness."""
+        pnl = self._features[:, :-3]
+        low, high = pnl.min(axis=1), pnl.max(axis=1)
+        return pnl.mean(axis=1), low, high, np.maximum(np.abs(low), np.abs(high))
 
     def _check(self, positions: np.ndarray, prefix: bool = False) -> None:
         """Reject a batch that is not (p, 2m) integers within the structure's
@@ -573,14 +572,20 @@ class BatchEvaluator:
         self._check(positions)
         p = positions.shape[0]
         idx, notion = self._slots(positions)
+        pnl_mean, pnl_min, pnl_max, pnl_abs = self._pnl_tables
         # Slot by slot: a sum over the short slot axis costs several times more.
-        mean, low, size = (np.full(p, table[-1]) for table in (self._pnl_mean, self._pnl_min, self._pnl_abs))
+        mean, low, size = (np.full(p, table[-1]) for table in (pnl_mean, pnl_min, pnl_abs))
         for j in range(self.m):
             i, n = idx[:, j], notion[:, j]
-            mean += n * self._pnl_mean[i]
-            low += np.minimum(n * self._pnl_min[i], n * self._pnl_max[i])
-            size += np.abs(n) * self._pnl_abs[i]
-        mean_hi, var_lo = mean + self._slack * size, low - self._slack * size
+            mean += n * pnl_mean[i]
+            low += np.minimum(n * pnl_min[i], n * pnl_max[i])
+            size += np.abs(n) * pnl_abs[i]
+        # Rounding slack per unit of magnitude.  A P&L entry carries at most
+        # 2(m + 1) roundings, its mean S + 1 more, a table mean S + 1 and the
+        # sums above 2m + 2, each at most half an epsilon of that magnitude:
+        # far fewer than 2(m + S + 8) epsilons.
+        slack = 2.0 * (self.m + self.problem.var_cfg.count + 8) * np.finfo(float).eps * size
+        mean_hi, var_lo = mean + slack, low - slack
         cost = self._trading_cost(idx, notion)
         a_lo = (self.problem.pnl_rf - mean_hi) + cost
         u_hi = cost - var_lo
