@@ -280,7 +280,9 @@ def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, out: P
         "stop_reason": result.stop_reason.value,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
+        "scored": result.scored,
         "wall_seconds": result.wall_seconds,
+        "init_seconds": result.init_seconds,
         "seed": result.seed,
         "strategy": [{"instrument_id": i, "notional": n} for i, n in result.strategy.legs],
         "slots": [{"slot": j, "instrument_id": i, "notional": n}
@@ -311,7 +313,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = swarm_mod.run(rcfg, problem)
     _write_result(result, problem, Path(args.out))
     print(f"optimize: fitness {result.fitness:.6f} ({result.stop_reason.value}, "
-          f"{result.iterations} iterations, {result.wall_seconds:.2f}s) -> {args.out}")
+          f"{result.iterations} iterations, {result.scored}/{result.evaluations} rows scored, "
+          f"{result.wall_seconds:.2f}s) -> {args.out}")
     return 0
 
 

@@ -370,6 +370,11 @@ class ProblemInstance:
         return self.structure.empty_position()
 
 
+#: Scenarios in :meth:`BatchEvaluator.subset_floor`'s VaR bound: the initial
+#: book's lowest, and never fewer than the VaR rank.
+BOUND_SCENARIOS = 16
+
+
 class BatchEvaluator:
     """Vectorized fitness evaluation over many positions at once.
 
@@ -423,12 +428,30 @@ class BatchEvaluator:
 
     @cached_property
     def _pnl_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """fitness_floor's tables, one entry per instrument and a last one for
+        """The floors' tables, one entry per instrument and a last one for
         the initial book: scenario mean, min, max and largest magnitude.
-        Built on first use: the swarm never bounds a fitness."""
+        Built on first use, so that a problem that is never bounded does not
+        pay for them."""
         pnl = self._features[:, :-3]
         low, high = pnl.min(axis=1), pnl.max(axis=1)
         return pnl.mean(axis=1), low, high, np.maximum(np.abs(low), np.abs(high))
+
+    @cached_property
+    def _bound_scenarios(self) -> np.ndarray:
+        """subset_floor's scenarios K, in index order: the ``BOUND_SCENARIOS``
+        in which the initial book's P&L is lowest, and at least the VaR rank
+        of them."""
+        k = min(self.problem.var_cfg.count, max(BOUND_SCENARIOS, self._rank))
+        return np.sort(np.argsort(self.problem.init.pnl, kind="stable")[:k])
+
+    @cached_property
+    def _bound_features(self) -> np.ndarray:
+        """subset_floor's narrow ``features``: per instrument and for the
+        initial book, the P&L in the scenarios K, the scenario mean, and
+        Delta, Vega and Gamma.  Built on first use, like :attr:`_pnl_tables`."""
+        s = self.problem.var_cfg.count
+        return np.column_stack([self._features[:, self._bound_scenarios], self._pnl_tables[0],
+                                self._features[:, s:]])
 
     def _check(self, positions: np.ndarray, prefix: bool = False) -> None:
         """Reject a batch that is not (p, 2m) integers within the structure's
@@ -517,9 +540,22 @@ class BatchEvaluator:
         """A checked (p, 2m) batch -> (p, m) 0-based instrument rows and notionals."""
         return positions[:, :self.m] - 1, self._grids.take(positions[:, self.m:] + self._grid_offsets)
 
+    def _weights(self, idx: np.ndarray, notion: np.ndarray) -> sparse.csr_array:
+        """The batch's (p, U + 1) CSR weights: the initial book, then one entry
+        per slot in slot order (class docstring)."""
+        p, m = idx.shape
+        indices = np.empty((p, m + 1), dtype=np.int64)
+        indices[:, 0] = self._init_row
+        indices[:, 1:] = idx
+        data = np.empty((p, m + 1))
+        data[:, 0] = 1.0
+        data[:, 1:] = notion
+        indptr = np.arange(0, p * (m + 1) + 1, m + 1)
+        return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
+
     def _trading_cost(self, idx: np.ndarray, notion: np.ndarray) -> np.ndarray:
-        """Per-row trading cost, the one cost rule of both :meth:`evaluate`
-        and :meth:`fitness_floor`.
+        """Per-row trading cost, the one cost rule of :meth:`evaluate` and of
+        both floors.
 
         Cost is the one non-linear feature: duplicate instrument picks must
         be merged before taking absolute notionals.  Duplicates can only
@@ -540,33 +576,67 @@ class BatchEvaluator:
                 cost += np.where(i1 == i2, merged, split)
         return cost
 
+    def _penalty(self, psi: np.ndarray) -> np.ndarray:
+        """Per-row sum of the weighted violations, in constraint order."""
+        penalty = np.zeros(psi.shape[0])
+        for k in range(3):
+            lam = self._penalties[k]
+            if lam > 0.0:
+                penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
+        return penalty
+
+    def _slack(self, size: np.ndarray) -> np.ndarray:
+        """The rounding slack of both floors' linear sums: ``2(m + S + 8)``
+        machine epsilons of ``size``, a bound on the magnitude of every P&L
+        entry and every partial sum of the row (duplicate picks included).
+
+        A P&L entry carries at most 2(m + 1) roundings, its mean S + 1 more, a
+        table mean S + 1 and a floor's linear sum 2m + 2, each at most half an
+        epsilon of that magnitude: far fewer than 2(m + S + 8) epsilons.
+        """
+        return 2.0 * (self.m + self.problem.var_cfg.count + 8) * np.finfo(float).eps * size
+
+    def _objective_floor(self, mean_hi: np.ndarray, cost: np.ndarray, u_hi, u_lo) -> np.ndarray:
+        """A lower bound on the objective from ``mean <= mean_hi`` and ``u_lo <=
+        U <= u_hi``.
+
+        With ``A = pnl_rf + cost - mean`` and ``U = cost - VaR``, which are
+        :meth:`evaluate`'s numerator and denominator negated (exact), a
+        non-degenerate row has ``U > epsilon >= 0`` and objective ``A / U``; a
+        degenerate row's objective is +inf.  ``A_lo = (pnl_rf - mean_hi) +
+        cost`` is at most ``A``.  The floor is ``A_lo / u_hi`` where ``A_lo >=
+        0`` and ``u_hi > 0``; ``A_lo / u_lo`` where ``A_lo < 0`` and ``u_lo >
+        epsilon`` (the row is then not degenerate, and a larger ``A`` or ``U``
+        only raises ``A / U``); and -inf elsewhere.  Rounding is monotone, so
+        the floor is at most the rounded objective.  A caller with no bound
+        on one side passes ``u_hi = inf`` (the first floor is then 0) or
+        ``u_lo = -inf``.
+        """
+        a_lo = (self.problem.pnl_rf - mean_hi) + cost
+        floor = np.full(a_lo.shape, -np.inf)
+        np.divide(a_lo, u_hi, out=floor, where=(a_lo >= 0.0) & (u_hi > 0.0))
+        np.divide(a_lo, u_lo, out=floor, where=(a_lo < 0.0) & (u_lo > self.problem.epsilon))
+        return floor
+
     def fitness_floor(self, positions: np.ndarray) -> np.ndarray:
         """A lower bound on :meth:`evaluate`'s ``"fitness"`` for every row of
         a (p, 2m) int position matrix, with no P&L row built.
 
-        With A = pnl_rf + cost - mean and U = cost - VaR, a non-degenerate
-        row's objective is A / U with U > epsilon >= 0; a degenerate row's is
-        +inf.  The floor bounds A from below and U from above, from
-        per-instrument tables of the scenario P&L:
+        From per-instrument tables of the scenario P&L, in a loop over the
+        slots:
 
-        - mean: the linear sum ``mean(init) + sum_j n_j mean(f_j)``;
+        - mean: the linear sum ``mean(init) + sum_j n_j mean(f_j)``, plus
+          :meth:`_slack` on ``max|init| + sum_j |n_j| max|f_j|``;
         - VaR: every order statistic is at least the row minimum, which is at
-          least ``min(init) + sum_j min_s(n_j f_j[s])``;
-        - cost: exact, from the cost rule ``evaluate`` uses;
-        - rounding: both sums move by a slack of ``2(m + S + 8)`` machine
-          epsilons of ``max|init| + sum_j |n_j| max|f_j|``, a bound on every
-          P&L entry's magnitude and every partial sum of it (duplicate picks
-          included), which covers the roundings of the P&L product, of its
-          mean and of the floor's own sums.
+          least ``min(init) + sum_j min_s(n_j f_j[s])`` less the same slack,
+          so ``U_hi = cost - var_lo`` bounds ``U`` from above;
+        - cost: exact, from the cost rule ``evaluate`` uses.
 
-        The floor is A_lo / U_hi where A_lo >= 0 and U_hi > 0, and -inf
-        elsewhere.  ``A_lo = (pnl_rf - mean_hi) + cost`` and ``U_hi = cost -
-        var_lo`` are ``evaluate``'s numerator and denominator negated, which
-        is exact, with the bounds in place of mean and VaR; rounding is
-        monotone, so the floor is at most the rounded objective.  The
-        penalties are >= 0, so it is at most the fitness too.  It is only a
-        bound: ``evaluate`` stays the one fitness implementation.  Raises
-        :class:`StructureError` as ``evaluate`` does.
+        The floor is :meth:`_objective_floor` with ``U_hi`` and no lower bound
+        on ``U``; the penalties are >= 0, so it is at most the fitness too.
+        The oracle bounds only feasible rows, which carry no penalty.  It is
+        only a bound: ``evaluate`` stays the one fitness implementation.
+        Raises :class:`StructureError` as ``evaluate`` does.
         """
         positions = np.asarray(positions)
         self._check(positions)
@@ -580,18 +650,48 @@ class BatchEvaluator:
             mean += n * pnl_mean[i]
             low += np.minimum(n * pnl_min[i], n * pnl_max[i])
             size += np.abs(n) * pnl_abs[i]
-        # Rounding slack per unit of magnitude.  A P&L entry carries at most
-        # 2(m + 1) roundings, its mean S + 1 more, a table mean S + 1 and the
-        # sums above 2m + 2, each at most half an epsilon of that magnitude:
-        # far fewer than 2(m + S + 8) epsilons.
-        slack = 2.0 * (self.m + self.problem.var_cfg.count + 8) * np.finfo(float).eps * size
-        mean_hi, var_lo = mean + slack, low - slack
+        slack = self._slack(size)
         cost = self._trading_cost(idx, notion)
-        a_lo = (self.problem.pnl_rf - mean_hi) + cost
-        u_hi = cost - var_lo
-        floor = np.full(p, -np.inf)
-        np.divide(a_lo, u_hi, out=floor, where=(a_lo >= 0.0) & (u_hi > 0.0))
-        return floor
+        return self._objective_floor(mean + slack, cost, cost - (low - slack), -np.inf)
+
+    def subset_floor(self, positions: np.ndarray) -> np.ndarray:
+        """A lower bound on :meth:`evaluate`'s ``"fitness"`` for every row of
+        a (p, 2m) int position matrix, from one narrow product: the batch's
+        CSR weights times :attr:`_bound_features`, whose columns are the P&L
+        in the scenarios K, the scenario mean and the three Greeks.
+
+        Product columns are independent, so each comes out bit-identical to
+        the same column of ``evaluate``'s full product.  Hence:
+
+        - the Greeks, the violations and the penalty are exact;
+        - VaR: the r-th smallest P&L over K is at least the r-th smallest over
+          all S scenarios, so ``U_lo = cost - var_hi`` bounds ``U`` from
+          below with no slack;
+        - mean: the linear sum of the scenario means, with
+          :meth:`_slack` on ``max|init| + sum_j |n_j| max|f_j|``;
+        - cost: exact, from the cost rule ``evaluate`` uses.
+
+        The floor is :meth:`_objective_floor` with ``U_lo`` and no upper bound
+        on ``U``, plus the exact penalty; rounding is monotone, so it is at
+        most the fitness.  A row whose penalty is infinite and whose
+        objective floor is -inf gets NaN, which bounds nothing.  Raises
+        :class:`StructureError` as ``evaluate`` does.
+        """
+        positions = np.asarray(positions)
+        self._check(positions)
+        idx, notion = self._slots(positions)
+        k = self._bound_scenarios.size
+        linear = self._weights(idx, notion) @ self._bound_features
+        if self._rank == 1:
+            var_hi = linear[:, :k].min(axis=1)
+        else:
+            var_hi = np.partition(linear[:, :k], self._rank - 1, axis=1)[:, self._rank - 1]
+        pnl_abs = self._pnl_tables[3]
+        size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
+        cost = self._trading_cost(idx, notion)
+        floor = self._objective_floor(linear[:, k] + self._slack(size), cost, np.inf, cost - var_hi)
+        with np.errstate(invalid="ignore"):
+            return floor + self._penalty(self._violations(linear[:, k + 1:]))
 
     def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
@@ -602,19 +702,8 @@ class BatchEvaluator:
         """
         positions = np.asarray(positions)
         self._check(positions)
-        p = positions.shape[0]
-        m = self.m
         idx, notion = self._slots(positions)
-
-        indices = np.empty((p, m + 1), dtype=np.int64)
-        indices[:, 0] = self._init_row
-        indices[:, 1:] = idx
-        data = np.empty((p, m + 1))
-        data[:, 0] = 1.0
-        data[:, 1:] = notion
-        indptr = np.arange(0, p * (m + 1) + 1, m + 1)
-        weights = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
-        linear = weights @ self._features
+        linear = self._weights(idx, notion) @ self._features
         total_pnl, sens = linear[:, :-3], linear[:, -3:]
         cost = self._trading_cost(idx, notion)
 
@@ -630,12 +719,7 @@ class BatchEvaluator:
             f = np.where(degenerate, np.inf, (mean - self.problem.pnl_rf - cost) / denominator)
 
         psi = self._violations(sens)
-        penalty = np.zeros(p)
-        for k in range(3):
-            lam = self._penalties[k]
-            if lam > 0.0:
-                penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
-        fitness = f + penalty
+        fitness = f + self._penalty(psi)
         return {
             "fitness": fitness,
             "objective": f,

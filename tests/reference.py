@@ -20,6 +20,11 @@ the two byte for byte.
 screen or the fitness floor: every block runs the full fitness on every
 position, and the optimal set is read off the feasible ones.
 
+:func:`full_scoring_swarm` is the swarm as it was before its steps were
+bounded and pruned: every step scores every particle in full, in one batch,
+with the step arithmetic written out as plain expressions.  Tests compare
+``Swarm`` with it in trajectory, position, fitness and stop reason.
+
 :func:`slice_positions` lists the positions of a slice of the box the way
 ``BatchEvaluator.feasible_slice`` orders its mask, from a Cartesian product
 rather than the oracle's digit decoding.
@@ -47,6 +52,7 @@ from ratpo.features import (
 from ratpo.instruments import Exercise, Kind, QuoteError
 from ratpo.problem import ConstraintSpec, EvalBreakdown, ProblemInstance
 from ratpo.risk import VarConfig, var_index
+from ratpo.swarm import RandomMode, RatsConfig, StopReason
 
 
 def _price_one(base: pricing.PricingInputs, spot: np.ndarray, vol: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -303,3 +309,77 @@ def slice_positions(problem: ProblemInstance, prefixes: np.ndarray) -> np.ndarra
     trailing = np.stack([a.ravel() for a in axes], axis=1)
     return np.concatenate([np.repeat(prefixes, len(trailing), axis=0),
                            np.tile(trailing, (len(prefixes), 1))], axis=1)
+
+
+def full_scoring_swarm(cfg: RatsConfig, problem: ProblemInstance) -> dict:
+    """One swarm run that scores every particle in full on every step, serially.
+
+    It draws its random numbers in ``Swarm``'s order and applies its rules:
+    integer moves rounded half away from zero and clipped, personal bests on
+    ``fitness < best``, a feasible-first champion, the ``tau_f`` move rule,
+    and the three stops.  Returns the trajectory without wall times, the
+    final position and fitness, the stop reason and the evaluation count.
+    """
+    evaluate = problem.evaluator.evaluate
+    lower, upper = problem.structure.position_bounds()
+    m, n = problem.structure.m, cfg.particles
+    dim = 2 * m
+    rng = np.random.default_rng(cfg.seed)
+    x = np.empty((n, dim), dtype=np.int64)
+    for j in range(dim):
+        x[:, j] = rng.integers(lower[j], upper[j] + 1, size=n)
+    v = rng.uniform(cfg.v_min, cfg.v_max, size=(n, dim))
+    if cfg.inject_zero_strategy:
+        x[0, m:] = problem.empty_position()[m:]
+    res = evaluate(x)
+    pbest, pfit, pfeas = x.copy(), res["fitness"], res["feasible"]
+    evaluations = n
+
+    def champion() -> int:
+        feasible = np.flatnonzero(pfeas)
+        if not feasible.size:
+            return int(np.argmin(pfit))
+        return int(feasible[np.argmin(pfit[feasible])])
+
+    def concentration(g: np.ndarray) -> float:
+        return float(np.mean(np.all(pbest == g[None, :], axis=1)))
+
+    c = champion()
+    gbest, gfit, gfeas = pbest[c].copy(), float(pfit[c]), bool(pfeas[c])
+    k, stall, inertia, chi = 0, 0, cfg.w_max, concentration(gbest)
+    trajectory = [(0, gfit, chi, stall)]
+    while k < cfg.k_max and stall < cfg.k_max_stall and chi < cfg.tau_p:
+        if cfg.random_mode is RandomMode.SHARED:
+            r1, r2 = rng.uniform(size=dim)[None, :], rng.uniform(size=dim)[None, :]
+        else:
+            r1, r2 = rng.uniform(size=(n, dim)), rng.uniform(size=(n, dim))
+        v = inertia * v + cfg.c_pers * r1 * (pbest - x) + cfg.c_soc * r2 * (gbest - x)
+        moved = x + v
+        x = np.clip(np.copysign(np.floor(np.abs(moved) + 0.5), moved), lower, upper).astype(np.int64)
+        res = evaluate(x)
+        evaluations += n
+        improved = res["fitness"] < pfit
+        pbest[improved], pfit[improved], pfeas[improved] = (
+            x[improved], res["fitness"][improved], res["feasible"][improved])
+        k += 1
+        c = champion()
+        if bool(pfeas[c]) != gfeas:
+            moves = bool(pfeas[c])
+        else:
+            moves = gfit - pfit[c] > cfg.tau_f
+        if moves:
+            gbest, gfit, gfeas, stall = pbest[c].copy(), float(pfit[c]), bool(pfeas[c]), 0
+        else:
+            stall += 1
+        if cfg.k_max > 0:
+            inertia = cfg.w_max - (k / cfg.k_max) * (cfg.w_max - cfg.w_min)
+        chi = concentration(gbest)
+        trajectory.append((k, gfit, chi, stall))
+    if k >= cfg.k_max:
+        stop = StopReason.MAX_ITER
+    elif stall >= cfg.k_max_stall:
+        stop = StopReason.STALL
+    else:
+        stop = StopReason.CONCENTRATION
+    return {"trajectory": trajectory, "position": gbest, "fitness": float(evaluate(gbest[None, :])["fitness"][0]),
+            "stop_reason": stop, "evaluations": evaluations}

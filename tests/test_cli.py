@@ -272,6 +272,19 @@ class TestOptimize:
         merged = {leg["instrument_id"]: leg["notional"] for leg in result["strategy"]}
         assert {k: v for k, v in slot_total.items() if v != 0} == merged
 
+    def test_reports_rows_scored(self, data_dir, configs, tmp_path, capsys):
+        # 1000 particles on reduced is a swarm that prunes (swarm.prunes).
+        problem, _ = configs
+        rats = write_json(tmp_path / "rats1000.json", {"particles": 1000, "k_max": 5, "seed": 2})
+        out = tmp_path / "run1000"
+        assert main(["optimize", "--data-dir", str(data_dir), "--problem", problem,
+                     "--rats", rats, "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["evaluations"] == 6 * 1000
+        assert 1000 <= result["scored"] < result["evaluations"]
+        assert 0.0 < result["init_seconds"] <= result["wall_seconds"]
+        assert f"5 iterations, {result['scored']}/6000 rows scored, " in capsys.readouterr().out
+
     def test_pnl_hist_reproduces_var_and_mean(self, data_dir, configs, tmp_path):
         problem, _ = configs
         rats = write_json(tmp_path / "rats30.json", {"particles": 30, "k_max": 60})

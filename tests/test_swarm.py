@@ -141,7 +141,7 @@ class TestStep:
         cfg = RatsConfig(particles=2, seed=1, tau_f=1e-4)
         swarm = Swarm(cfg, problem)
         feed = [np.array([1.0, 2.0])]
-        swarm._evaluate = lambda positions: (feed.pop(0), np.ones(len(positions), dtype=bool))
+        swarm._evaluate = lambda positions, best=None: (feed.pop(0), np.ones(len(positions), dtype=bool))
         state = swarm.initialize()
         assert state.best_fitness == 1.0
 
@@ -160,7 +160,7 @@ class TestStep:
         cfg = RatsConfig(particles=3, seed=2, tau_f=1e-4)
         swarm = Swarm(cfg, problem)
         feed = [np.array([5.0, 4.0, 6.0])]
-        swarm._evaluate = lambda positions: (feed.pop(0), np.ones(len(positions), dtype=bool))
+        swarm._evaluate = lambda positions, best=None: (feed.pop(0), np.ones(len(positions), dtype=bool))
         state = swarm.initialize()
         # Particle 2 worsens, but its personal best (6.0) is kept; champion is 0.1.
         feed.append(np.array([0.1, 9.0, 9.0]))
@@ -172,7 +172,7 @@ class TestStep:
         problem = make_toy_problem()
         swarm = Swarm(RatsConfig(particles=3, seed=2, tau_f=1e-4), problem)
         feed = [(np.array([1.0, 2.0, 3.0]), np.array([False, True, True]))]
-        swarm._evaluate = lambda positions: feed.pop(0)
+        swarm._evaluate = lambda positions, best=None: feed.pop(0)
         state = swarm.initialize()
         assert (state.best_fitness, state.best_feasible) == (2.0, True)
         assert np.array_equal(state.best_position, swarm.best_positions[1])
@@ -191,7 +191,7 @@ class TestStep:
         problem = make_toy_problem()
         swarm = Swarm(RatsConfig(particles=2, seed=1, tau_f=1e-4, inject_zero_strategy=False), problem)
         feed = [(np.array([1.0, 2.0]), np.array([False, False]))]
-        swarm._evaluate = lambda positions: feed.pop(0)
+        swarm._evaluate = lambda positions, best=None: feed.pop(0)
         state = swarm.initialize()
         assert (state.best_fitness, state.best_feasible) == (1.0, False)
 
