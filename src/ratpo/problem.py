@@ -585,6 +585,13 @@ class BatchEvaluator:
                 penalty += np.where(psi[:, k] > 0.0, lam * psi[:, k], 0.0)
         return penalty
 
+    def _rank_statistic(self, pnl: np.ndarray) -> np.ndarray:
+        """Each row's VaR-rank-th smallest entry: its beta-VaR when ``pnl``
+        holds every scenario."""
+        if self._rank == 1:
+            return pnl.min(axis=1)
+        return np.partition(pnl, self._rank - 1, axis=1)[:, self._rank - 1]
+
     def _slack(self, size: np.ndarray) -> np.ndarray:
         """The rounding slack of both floors' linear sums: ``2(m + S + 8)``
         machine epsilons of ``size``, a bound on the magnitude of every P&L
@@ -682,10 +689,7 @@ class BatchEvaluator:
         idx, notion = self._slots(positions)
         k = self._bound_scenarios.size
         linear = self._weights(idx, notion) @ self._bound_features
-        if self._rank == 1:
-            var_hi = linear[:, :k].min(axis=1)
-        else:
-            var_hi = np.partition(linear[:, :k], self._rank - 1, axis=1)[:, self._rank - 1]
+        var_hi = self._rank_statistic(linear[:, :k])
         pnl_abs = self._pnl_tables[3]
         size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
         cost = self._trading_cost(idx, notion)
@@ -708,10 +712,7 @@ class BatchEvaluator:
         cost = self._trading_cost(idx, notion)
 
         mean = total_pnl.mean(axis=1)
-        if self._rank == 1:
-            var = total_pnl.min(axis=1)
-        else:
-            var = np.partition(total_pnl, self._rank - 1, axis=1)[:, self._rank - 1]
+        var = self._rank_statistic(total_pnl)
 
         denominator = var - cost
         degenerate = denominator >= -self.problem.epsilon
