@@ -134,6 +134,26 @@ class RatsResult:
         return self.breakdown.fitness
 
 
+#: A swarm prunes its steps when one step's full P&L product would take at
+#: least this many multiply-adds (:func:`prunes`).
+PRUNE_MADDS = 1_000_000
+
+
+def prunes(problem: ProblemInstance, particles: int) -> bool:
+    """Whether a swarm's steps bound their rows before scoring any in full.
+
+    Pruning never changes a result, only the time a step takes.  The floor
+    adds a fixed cost of numpy calls to every step and saves the full product
+    of the rows it prunes, ``(m + 1) x (S + 3)`` multiply-adds each, so it
+    pays only on large batches: on one thread of a 2-vCPU host it broke even
+    at about 100 particles on table1 (m = 39) and about 450 on reduced
+    (m = 3), both with S = 250.  A step prunes when ``particles x (m + 1) x
+    (S + 3)`` is at least :data:`PRUNE_MADDS`, which puts the threshold at 99
+    particles on table1 and 989 on reduced.
+    """
+    return particles * (problem.structure.m + 1) * (problem.var_cfg.count + 3) >= PRUNE_MADDS
+
+
 class Swarm:
     """Owns the particle arrays and the run loop for one optimization."""
 
@@ -325,26 +345,6 @@ class Swarm:
             init_seconds=init_seconds,
             seed=cfg.seed,
         )
-
-
-#: A swarm prunes its steps when one step's full P&L product would take at
-#: least this many multiply-adds (:func:`prunes`).
-PRUNE_MADDS = 1_000_000
-
-
-def prunes(problem: ProblemInstance, particles: int) -> bool:
-    """Whether a swarm's steps bound their rows before scoring any in full.
-
-    Pruning never changes a result, only the time a step takes.  The floor
-    adds a fixed cost of numpy calls to every step and saves the full product
-    of the rows it prunes, ``(m + 1) x (S + 3)`` multiply-adds each, so it
-    pays only on large batches: with 2 vCPUs it broke even at about 100
-    particles on table1 (m = 39) and about 450 on reduced (m = 3), both with
-    S = 250.  A step prunes when ``particles x (m + 1) x (S + 3)`` is at least
-    :data:`PRUNE_MADDS`, which puts the threshold at 99 particles on table1
-    and 989 on reduced.
-    """
-    return particles * (problem.structure.m + 1) * (problem.var_cfg.count + 3) >= PRUNE_MADDS
 
 
 def run(cfg: RatsConfig, problem: ProblemInstance) -> RatsResult:

@@ -18,13 +18,13 @@ import pytest
 import reference
 
 from ratpo.problem import ProblemInstance
-from ratpo.swarm import PRUNE_MADDS, RandomMode, RatsConfig, Swarm, prunes, run
+from ratpo.swarm import PRUNE_MADDS, RandomMode, RatsConfig, RatsResult, Swarm, prunes, run
 
 #: bench/'s table1_swarm run: 1000 particles, 50 iterations, no early stop.
 TABLE1 = dict(particles=1000, k_max=50, k_max_stall=10**9, tau_p=0.999999)
 
 
-def assert_matches_reference(cfg: RatsConfig, problem: ProblemInstance) -> None:
+def assert_matches_reference(cfg: RatsConfig, problem: ProblemInstance) -> RatsResult:
     want = reference.full_scoring_swarm(cfg, problem)
     for threads in (1, 2):
         got = run(dataclasses.replace(cfg, threads=threads), problem)
@@ -34,13 +34,17 @@ def assert_matches_reference(cfg: RatsConfig, problem: ProblemInstance) -> None:
         assert got.stop_reason is want["stop_reason"]
         assert got.evaluations == want["evaluations"]
         assert cfg.particles <= got.scored <= got.evaluations
+    return got
 
 
 @pytest.mark.parametrize("seed", [101000, 104036, 6084])
 def test_table1_matches_full_scoring(table1_problem, seed):
     cfg = RatsConfig(seed=seed, **TABLE1)
     assert prunes(table1_problem, cfg.particles)
-    assert_matches_reference(cfg, table1_problem)
+    result = assert_matches_reference(cfg, table1_problem)
+    # The initial swarm is scored in full; then only rows that can improve.
+    assert result.evaluations == 51 * 1000
+    assert 1000 < result.scored < 0.2 * result.evaluations
 
 
 @pytest.mark.parametrize("particles, seed", [(1000, 1), (1000, 2), (2000, 3), (30, 4)])
@@ -64,13 +68,6 @@ def test_every_fitness_infinite(reduced_problem):
     result = run(cfg, problem)
     assert result.fitness == np.inf
     assert result.scored == result.evaluations
-
-
-def test_pruning_scores_few_rows(table1_problem):
-    result = run(RatsConfig(seed=7, **TABLE1), table1_problem)
-    assert result.evaluations == 51 * 1000
-    # The initial swarm is scored in full; then only rows that can improve.
-    assert 1000 < result.scored < 0.2 * result.evaluations
 
 
 @pytest.mark.parametrize("name, threshold", [("table1", 99), ("reduced", 989)])
