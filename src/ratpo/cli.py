@@ -28,6 +28,7 @@ from .instruments import QuoteError, UniverseError, build_universe, is_uei_id, p
 from .pricing import PricingError
 from .problem import (
     ConstraintSpec,
+    EvalBreakdown,
     ProblemInstance,
     StructureError,
     build_structure,
@@ -265,7 +266,8 @@ def _write_trajectory(trajectory, path: Path) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, out: Path) -> None:
+def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, baseline: EvalBreakdown,
+                  out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     b = result.breakdown
     payload = {
@@ -277,6 +279,9 @@ def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, out: P
         "pnl_rf": problem.pnl_rf,
         "violations": list(b.psi),
         "feasible": b.feasible,
+        # The empty strategy, which leaves the initial book as it is.
+        "baseline": {"fitness": baseline.fitness, "objective": baseline.objective,
+                     "mean_pnl": baseline.mean_pnl, "beta_var": baseline.var, "cost": baseline.cost},
         "stop_reason": result.stop_reason.value,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
@@ -311,7 +316,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print("optimize: degenerate problem (empty strategy has non-finite fitness)", file=sys.stderr)
         return 1
     result = swarm_mod.run(rcfg, problem)
-    _write_result(result, problem, Path(args.out))
+    _write_result(result, problem, baseline, Path(args.out))
     print(f"optimize: fitness {result.fitness:.6f} ({result.stop_reason.value}, "
           f"{result.iterations} iterations, {result.scored}/{result.evaluations} rows scored, "
           f"{result.wall_seconds:.2f}s) -> {args.out}")

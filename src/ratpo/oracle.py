@@ -6,7 +6,8 @@ positions of the box:
 
 1. Screen.  The whole box's feasible mask comes from
    :meth:`BatchEvaluator.feasible_slice`, which adds small per-slot Greek
-   tables instead of decoding positions, in leading-digit chunks on
+   tables instead of decoding positions, one Greek at a time, and tests each
+   sum against its limit directly; it runs in leading-digit chunks on
    ``threads`` workers.  The mask is bit-identical to the one
    :meth:`BatchEvaluator.evaluate` computes.
 2. Floor.  Each block decodes its feasible positions and gets a lower bound
@@ -118,8 +119,8 @@ class Enumerator:
         mask = np.empty(self.total, dtype=bool)
 
         def screen(firsts: range) -> None:
-            # One work array for all of this worker's chunks (feasible_slice).
-            work = np.empty(3 * min(step, prefixes) * tail)
+            # One work array, a float per position, for all of this worker's chunks (feasible_slice).
+            work = np.empty(min(step, prefixes) * tail)
             for first in firsts:
                 last = min(first + step, prefixes)
                 chunk = self._decode(np.arange(first, last, dtype=np.int64), k)

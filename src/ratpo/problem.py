@@ -472,11 +472,10 @@ class BatchEvaluator:
             raise StructureError(f"row {r}, entry {c}: {positions[r, c]} outside "
                                  f"[{self._lower[c]}, {self._upper[c]}]")
 
-    def _violations(self, sens: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def _violations(self, sens: np.ndarray) -> np.ndarray:
         """(|sensitivity| - limit)_+ / limit per column; a zero limit gives 0 for
-        a zero sensitivity and inf otherwise.  Computed in ``out`` when given,
-        which may be ``sens`` itself."""
-        psi = np.abs(sens, out=out)
+        a zero sensitivity and inf otherwise."""
+        psi = np.abs(sens)
         psi -= self._limits
         np.maximum(psi, 0.0, out=psi)
         psi /= self._divisors
@@ -498,13 +497,20 @@ class BatchEvaluator:
         tables are added to zeros by broadcasting, in slot order: the same
         multiplies and adds, in the same order, as :meth:`evaluate`'s CSR row
         ``((0 + 1 * 0) + n_1 g_1) + ...`` (the initial book's row carries no
-        Greeks).  The sums then pass through the violation formula and the
-        feasible rule that ``evaluate`` uses, so the mask is bit-identical to
-        ``evaluate``'s ``"feasible"`` over the same positions.  Raises
-        :class:`StructureError` on a malformed or out-of-bounds prefix.
+        Greeks).  The last slot's add, the only one over every position, runs
+        one Greek at a time, and :func:`within_limit` tests that Greek's sums
+        against its limit with the violation formula's feasible rule.  So the
+        mask is bit-identical to ``evaluate``'s ``"feasible"`` over the same
+        positions.  Raises :class:`StructureError` on a malformed or
+        out-of-bounds prefix.
 
-        The sums, 3 floats per position, are computed in ``work`` when it is
-        a float array large enough, and in a new array otherwise.  A caller
+        Both operands of the last add are first expanded over the trailing
+        grid entries, which then form one contiguous axis: the add's inner
+        loop runs over that whole block instead of one grid's length (reduced
+        instance: 729 elements, not 9).
+
+        The sums, 1 float per position, are computed in ``work`` when it is a
+        float array large enough, and in a new array otherwise.  A caller
         screening slice after slice passes one: an array that large can be
         mapped afresh from the system on every allocation, and touching its
         new pages costs more than the sums (reduced instance, 2 vCPUs: 7,000
@@ -512,7 +518,7 @@ class BatchEvaluator:
         """
         prefixes = np.asarray(prefixes)
         self._check(prefixes, prefix=True)
-        k = prefixes.shape[1]
+        q, k = prefixes.shape
         ndim = 1 + 2 * self.m - k
 
         def entry(d: int) -> np.ndarray:
@@ -523,18 +529,33 @@ class BatchEvaluator:
                 values, axis = np.arange(self._lower[d], self._upper[d] + 1), 1 + d - k
             return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
 
-        # Greek axis first: the (positions, 3) view handed on is column-major,
-        # so each violation column is one contiguous pass.  The zeros carry the
-        # prefix axis even when no entry lies on it (k = 0).
-        shape = (3, prefixes.shape[0]) + tuple(self._upper[k:] - self._lower[k:] + 1)
-        size = math.prod(shape)
-        full = (work if work is not None and work.size >= size else np.empty(size))[:size].reshape(shape)
-        sums = np.zeros((3, prefixes.shape[0]) + (1,) * (ndim - 1))
-        for j in range(self.m):
-            term = self._grids[j, entry(self.m + j)] * self._greeks[:, entry(j) - 1]
-            sums = np.add(sums, term, out=full if j == self.m - 1 else None)
-        flat = full.reshape(3, -1).T
-        return feasible_rows(self._violations(flat, out=flat))
+        # Greek axis first, then the prefix axis; axes from `block` on are the
+        # trailing grid entries.
+        block = 2 + max(k, self.m) - k
+        shape = (3, q) + tuple(self._upper[k:] - self._lower[k:] + 1)
+        grid = shape[block:]
+        width = math.prod(grid)
+
+        def expand(a: np.ndarray) -> np.ndarray:
+            """``a`` made full over the trailing grid entries, as one axis."""
+            return np.broadcast_to(a, a.shape[:block] + grid).copy().reshape(a.shape[:block] + (width,))
+
+        def term(j: int) -> np.ndarray:
+            """Slot j's terms ``n_j g_j``, Greek axis first."""
+            return self._grids[j, entry(self.m + j)] * self._greeks[:, entry(j) - 1]
+
+        # The zeros carry the prefix axis even when no entry lies on it (k = 0).
+        sums = np.zeros((3, q) + (1,) * (ndim - 1))
+        for j in range(self.m - 1):
+            sums = sums + term(j)
+        sums, last = expand(sums), expand(term(self.m - 1))
+        size = math.prod(shape[1:])
+        out = (work if work is not None and work.size >= size else np.empty(size))[:size]
+        mask = np.ones(size, dtype=bool)
+        for g in range(3):
+            np.add(sums[g], last[g], out=out.reshape(shape[1:block] + (width,)))
+            mask &= within_limit(out, self._limits[g])
+        return mask
 
     def _slots(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A checked (p, 2m) batch -> (p, m) 0-based instrument rows and notionals."""
@@ -731,6 +752,18 @@ class BatchEvaluator:
             "feasible": feasible_rows(psi),
             "pnl": total_pnl,
         }
+
+
+def within_limit(sums: np.ndarray, limit: float) -> np.ndarray:
+    """One Greek's feasible rule, straight from its sums: ``|s| <= limit`` for
+    a positive limit and ``not |s| > 0`` for a zero one.  On every sum, NaN
+    included, this is ``BatchEvaluator._violations``' column being 0.  An
+    infinite limit, from an overflowing ``tau * |base|``, counts as the
+    largest float: under it ``|s| - limit`` is NaN for an infinite sum."""
+    size = np.abs(sums)
+    if limit == 0.0:
+        return ~(size > 0.0)
+    return size <= np.minimum(limit, np.finfo(float).max)
 
 
 def feasible_rows(psi: np.ndarray) -> np.ndarray:

@@ -285,7 +285,9 @@ class Swarm:
         if champion_feasible != state.best_feasible:
             moves = champion_feasible
         else:
-            moves = state.best_fitness - self.best_fitness[champion] > cfg.tau_f
+            # Both +inf: inf - inf is NaN, which moves nothing.
+            with np.errstate(invalid="ignore"):
+                moves = state.best_fitness - self.best_fitness[champion] > cfg.tau_f
         if moves:
             state.best_position = self.best_positions[champion].copy()
             state.best_fitness = float(self.best_fitness[champion])

@@ -366,7 +366,8 @@ def full_scoring_swarm(cfg: RatsConfig, problem: ProblemInstance) -> dict:
         if bool(pfeas[c]) != gfeas:
             moves = bool(pfeas[c])
         else:
-            moves = gfit - pfit[c] > cfg.tau_f
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, no move
+                moves = gfit - pfit[c] > cfg.tau_f
         if moves:
             gbest, gfit, gfeas, stall = pbest[c].copy(), float(pfit[c]), bool(pfeas[c]), 0
         else:

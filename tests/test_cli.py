@@ -285,6 +285,18 @@ class TestOptimize:
         assert 0.0 < result["init_seconds"] <= result["wall_seconds"]
         assert f"5 iterations, {result['scored']}/6000 rows scored, " in capsys.readouterr().out
 
+    def test_reports_the_empty_strategy_baseline(self, data_dir, configs, tmp_path):
+        problem, rats = configs
+        out = tmp_path / "baseline"
+        assert main(["optimize", "--data-dir", str(data_dir), "--problem", problem,
+                     "--rats", rats, "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        instance = build_problem(str(data_dir), load_problem_config(problem))
+        b = instance.evaluate(instance.empty_position())
+        assert result["baseline"] == {"fitness": b.fitness, "objective": b.objective, "mean_pnl": b.mean_pnl,
+                                      "beta_var": b.var, "cost": b.cost}
+        assert result["baseline"]["cost"] == 0.0
+
     def test_pnl_hist_reproduces_var_and_mean(self, data_dir, configs, tmp_path):
         problem, _ = configs
         rats = write_json(tmp_path / "rats30.json", {"particles": 30, "k_max": 60})

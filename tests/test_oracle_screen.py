@@ -23,7 +23,8 @@ from conftest import make_toy_problem
 from test_evaluator_properties import problems
 
 from ratpo.oracle import Enumerator, enumerate_space
-from ratpo.problem import BatchEvaluator, ProblemInstance, StructureError, search_space_size
+from ratpo.problem import (BatchEvaluator, ConstraintSpec, ProblemInstance, StructureError, feasible_rows,
+                           search_space_size, within_limit)
 
 #: Search-space cap per block size: a block of one position is one screen call per position.
 MAX_SPACE = {1: 200, 7: 3_000, 65_536: 3_000}
@@ -160,6 +161,55 @@ def test_reduced_oracle_scores_few_of_the_feasible_rows(reduced_masks):
     assert result.scored < result.feasible / 5
 
 
+TINY = np.finfo(float).smallest_subnormal
+NORMAL = np.finfo(float).smallest_normal
+HUGE = np.finfo(float).max
+#: Limits the screen's rule is checked under: ordinary, subnormal, the
+#: smallest normal, the largest finite, zero, and infinite (a product
+#: ``tau * |base|`` can overflow).
+LIMITS = (1.0, 0.1, 3e10, TINY, 3 * TINY, np.nextafter(NORMAL, 0.0), NORMAL, HUGE, 0.0, np.inf)
+
+
+def adversarial_sums(limit: float) -> np.ndarray:
+    """Sums at the limit and one ulp either side of it, both signs, with
+    +-0, +-inf, NaN and values at the ends of the float range."""
+    with np.errstate(over="ignore"):
+        near = [limit, np.nextafter(limit, -np.inf), np.nextafter(limit, np.inf)]
+    values = near + [-v for v in near] + [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                          TINY, -TINY, NORMAL, HUGE, -HUGE, 1.0, -0.5]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_within_limit_is_the_violation_rule(toy_problem, limit):
+    """The screen's per-Greek test gives ``feasible_rows(_violations(sums))``
+    column by column: the swept column holds the sums, the others zeros
+    under a limit of 1."""
+    sums = adversarial_sums(limit)
+    for column in range(3):
+        bases = [1.0, 1.0, 1.0]
+        bases[column] = limit
+        constraints = ConstraintSpec(1.0, 1.0, 1.0, *bases)
+        evaluator = dataclasses.replace(toy_problem, constraints=constraints).evaluator
+        assert evaluator._limits[column] == limit
+        sens = np.zeros((sums.size, 3))
+        sens[:, column] = sums
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = feasible_rows(evaluator._violations(sens))
+        assert within_limit(sums, limit).tolist() == want.tolist(), column
+    # The limit passes and one ulp above fails; an infinite sum fails even an infinite limit.
+    at_below_above = {0.0: [True, False, False], np.inf: [False, True, False]}.get(limit, [True, True, False])
+    assert within_limit(sums[:3], limit).tolist() == at_below_above
+
+
+def test_within_limit_pins_nan_and_zero_limits():
+    """Under a zero limit only a zero sum passes, and a NaN sum counts as
+    feasible, as the violation formula has it; under a positive limit NaN fails."""
+    sums = np.array([0.0, -0.0, TINY, -TINY, np.nan, np.inf])
+    assert within_limit(sums, 0.0).tolist() == [True, True, False, False, True, False]
+    assert within_limit(sums, 1.0).tolist() == [True, True, True, True, False, False]
+
+
 def test_feasible_slice_rejects_bad_prefixes(toy_problem):
     ev = toy_problem.evaluator
     empty = toy_problem.empty_position()
@@ -172,6 +222,8 @@ def test_feasible_slice_rejects_bad_prefixes(toy_problem):
     with pytest.raises(StructureError, match="outside"):
         ev.feasible_slice(np.array([[1, 3]]))
     assert ev.feasible_slice(empty[None, :]).tolist() == [True]
+    for k in range(empty.size + 1):
+        assert ev.feasible_slice(np.zeros((0, k), dtype=np.int64)).shape == (0,)
 
 
 def test_rejects_non_positive_block_size(toy_problem):

@@ -57,7 +57,6 @@ def test_per_particle_random_mode_matches_full_scoring(reduced_problem):
                              reduced_problem)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar subtract")
 def test_every_fitness_infinite(reduced_problem):
     # An epsilon this large makes every denominator degenerate, so every
     # fitness is +inf: no floor reaches a personal best and every row is scored.
