@@ -397,6 +397,13 @@ class BatchEvaluator:
     arrived in, so multi-threaded callers get bit-identical output.  A dense
     product (one-hot matrix times ``features``) is not used: BLAS gives no
     row-wise summation-order guarantee.
+
+    The public calls share private steps: :meth:`_decode` checks a batch and
+    decodes it into slot rows, notionals and trading cost; :meth:`_score` is
+    the fitness and :meth:`_subset_floor` the swarm's floor of a decoded
+    batch.  :meth:`evaluate` and :meth:`subset_floor` each decode and run one
+    step, and :meth:`evaluate_pruned` decodes once and runs both, so the
+    fitness stays one implementation.
     """
 
     def __init__(self, problem: ProblemInstance):
@@ -445,13 +452,20 @@ class BatchEvaluator:
         return np.sort(np.argsort(self.problem.init.pnl, kind="stable")[:k])
 
     @cached_property
-    def _bound_features(self) -> np.ndarray:
-        """subset_floor's narrow ``features``: per instrument and for the
-        initial book, the P&L in the scenarios K, the scenario mean, and
-        Delta, Vega and Gamma.  Built on first use, like :attr:`_pnl_tables`."""
+    def _floor_features(self) -> np.ndarray:
+        """subset_floor's first narrow ``features``, for every row: per
+        instrument and for the initial book, the scenario mean, then Delta,
+        Vega and Gamma.  Built on first use, like :attr:`_pnl_tables`."""
         s = self.problem.var_cfg.count
-        return np.column_stack([self._features[:, self._bound_scenarios], self._pnl_tables[0],
-                                self._features[:, s:]])
+        return np.column_stack([self._pnl_tables[0], self._features[:, s:]])
+
+    @cached_property
+    def _var_features(self) -> np.ndarray:
+        """subset_floor's second narrow ``features``, for the rows whose VaR
+        bound is read: per instrument and for the initial book, the P&L in
+        the scenarios K.  Built on first use, in row order: picking columns
+        gives a column-ordered copy, and the CSR product reads rows."""
+        return np.ascontiguousarray(self._features[:, self._bound_scenarios])
 
     def _check(self, positions: np.ndarray, prefix: bool = False) -> None:
         """Reject a batch that is not (p, 2m) integers within the structure's
@@ -624,27 +638,41 @@ class BatchEvaluator:
         """
         return 2.0 * (self.m + self.problem.var_cfg.count + 8) * np.finfo(float).eps * size
 
-    def _objective_floor(self, mean_hi: np.ndarray, cost: np.ndarray, u_hi, u_lo) -> np.ndarray:
-        """A lower bound on the objective from ``mean <= mean_hi`` and ``u_lo <=
-        U <= u_hi``.
+    def _objective_floor(self, a_lo: np.ndarray, u_hi, u_lo) -> np.ndarray:
+        """A lower bound on the objective from ``A >= a_lo`` and ``u_lo <= U
+        <= u_hi``.
 
         With ``A = pnl_rf + cost - mean`` and ``U = cost - VaR``, which are
         :meth:`evaluate`'s numerator and denominator negated (exact), a
         non-degenerate row has ``U > epsilon >= 0`` and objective ``A / U``; a
-        degenerate row's objective is +inf.  ``A_lo = (pnl_rf - mean_hi) +
-        cost`` is at most ``A``.  The floor is ``A_lo / u_hi`` where ``A_lo >=
-        0`` and ``u_hi > 0``; ``A_lo / u_lo`` where ``A_lo < 0`` and ``u_lo >
-        epsilon`` (the row is then not degenerate, and a larger ``A`` or ``U``
-        only raises ``A / U``); and -inf elsewhere.  Rounding is monotone, so
-        the floor is at most the rounded objective.  A caller with no bound
-        on one side passes ``u_hi = inf`` (the first floor is then 0) or
-        ``u_lo = -inf``.
+        degenerate row's objective is +inf.  Both floors take ``a_lo =
+        (pnl_rf - mean_hi) + cost`` (:meth:`_numerator_floor`) from an upper
+        bound ``mean_hi`` on the mean.  The floor is ``a_lo / u_hi`` where
+        ``a_lo >= 0`` and ``u_hi > 0``; ``a_lo / u_lo`` where ``a_lo < 0`` and
+        ``u_lo > epsilon`` (the row is then not degenerate, and a larger ``A``
+        or ``U`` only raises ``A / U``); and -inf elsewhere.  Rounding is
+        monotone, so the floor is at most the rounded objective.  A caller
+        with no bound on one side passes ``u_hi = inf`` (the first floor is
+        then 0) or ``u_lo = -inf``.
         """
-        a_lo = (self.problem.pnl_rf - mean_hi) + cost
         floor = np.full(a_lo.shape, -np.inf)
         np.divide(a_lo, u_hi, out=floor, where=(a_lo >= 0.0) & (u_hi > 0.0))
         np.divide(a_lo, u_lo, out=floor, where=(a_lo < 0.0) & (u_lo > self.problem.epsilon))
         return floor
+
+    def _numerator_floor(self, mean_hi: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """``a_lo = (pnl_rf - mean_hi) + cost``, at most the negated numerator
+        ``A`` when ``mean_hi`` is at least the mean."""
+        return (self.problem.pnl_rf - mean_hi) + cost
+
+    def _decode(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check a (p, 2m) batch and decode it once for the floors and the
+        fitness: (p, m) instrument rows and notionals (:meth:`_slots`), and
+        each row's trading cost."""
+        positions = np.asarray(positions)
+        self._check(positions)
+        idx, notion = self._slots(positions)
+        return idx, notion, self._trading_cost(idx, notion)
 
     def fitness_floor(self, positions: np.ndarray) -> np.ndarray:
         """A lower bound on :meth:`evaluate`'s ``"fitness"`` for every row of
@@ -666,10 +694,8 @@ class BatchEvaluator:
         only a bound: ``evaluate`` stays the one fitness implementation.
         Raises :class:`StructureError` as ``evaluate`` does.
         """
-        positions = np.asarray(positions)
-        self._check(positions)
-        p = positions.shape[0]
-        idx, notion = self._slots(positions)
+        idx, notion, cost = self._decode(positions)
+        p = idx.shape[0]
         pnl_mean, pnl_min, pnl_max, pnl_abs = self._pnl_tables
         # Slot by slot: a sum over the short slot axis costs several times more.
         mean, low, size = (np.full(p, table[-1]) for table in (pnl_mean, pnl_min, pnl_abs))
@@ -679,14 +705,32 @@ class BatchEvaluator:
             low += np.minimum(n * pnl_min[i], n * pnl_max[i])
             size += np.abs(n) * pnl_abs[i]
         slack = self._slack(size)
-        cost = self._trading_cost(idx, notion)
-        return self._objective_floor(mean + slack, cost, cost - (low - slack), -np.inf)
+        return self._objective_floor(self._numerator_floor(mean + slack, cost), cost - (low - slack), -np.inf)
+
+    def _subset_floor(self, idx: np.ndarray, notion: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """:meth:`subset_floor` of a decoded batch."""
+        linear = self._weights(idx, notion) @ self._floor_features
+        pnl_abs = self._pnl_tables[3]
+        size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
+        a_lo = self._numerator_floor(linear[:, 0] + self._slack(size), cost)
+        # Only the objective floor's A_lo < 0 branch reads U_lo.
+        rows = np.flatnonzero(a_lo < 0.0)
+        u_lo = np.full(a_lo.shape, -np.inf)
+        if rows.size:
+            scenarios = self._weights(idx[rows], notion[rows]) @ self._var_features
+            u_lo[rows] = cost[rows] - self._rank_statistic(scenarios)
+        floor = self._objective_floor(a_lo, np.inf, u_lo)
+        with np.errstate(invalid="ignore"):
+            return floor + self._penalty(self._violations(linear[:, 1:]))
 
     def subset_floor(self, positions: np.ndarray) -> np.ndarray:
         """A lower bound on :meth:`evaluate`'s ``"fitness"`` for every row of
-        a (p, 2m) int position matrix, from one narrow product: the batch's
-        CSR weights times :attr:`_bound_features`, whose columns are the P&L
-        in the scenarios K, the scenario mean and the three Greeks.
+        a (p, 2m) int position matrix, from two narrow products of the
+        batch's CSR weights: every row times :attr:`_floor_features` (the
+        scenario mean and the three Greeks), and only the rows whose
+        numerator floor ``A_lo`` is negative times :attr:`_var_features` (the
+        P&L in the scenarios K).  Every other row's objective floor is 0 or
+        -inf without a VaR bound.
 
         Product columns are independent, so each comes out bit-identical to
         the same column of ``evaluate``'s full product.  Hence:
@@ -705,32 +749,12 @@ class BatchEvaluator:
         objective floor is -inf gets NaN, which bounds nothing.  Raises
         :class:`StructureError` as ``evaluate`` does.
         """
-        positions = np.asarray(positions)
-        self._check(positions)
-        idx, notion = self._slots(positions)
-        k = self._bound_scenarios.size
-        linear = self._weights(idx, notion) @ self._bound_features
-        var_hi = self._rank_statistic(linear[:, :k])
-        pnl_abs = self._pnl_tables[3]
-        size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
-        cost = self._trading_cost(idx, notion)
-        floor = self._objective_floor(linear[:, k] + self._slack(size), cost, np.inf, cost - var_hi)
-        with np.errstate(invalid="ignore"):
-            return floor + self._penalty(self._violations(linear[:, k + 1:]))
+        return self._subset_floor(*self._decode(positions))
 
-    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
-        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
-
-        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
-        entry in any row.
-        """
-        positions = np.asarray(positions)
-        self._check(positions)
-        idx, notion = self._slots(positions)
+    def _score(self, idx: np.ndarray, notion: np.ndarray, cost: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`evaluate` of a decoded batch."""
         linear = self._weights(idx, notion) @ self._features
         total_pnl, sens = linear[:, :-3], linear[:, -3:]
-        cost = self._trading_cost(idx, notion)
 
         mean = total_pnl.mean(axis=1)
         var = self._rank_statistic(total_pnl)
@@ -752,6 +776,34 @@ class BatchEvaluator:
             "feasible": feasible_rows(psi),
             "pnl": total_pnl,
         }
+
+    def evaluate(self, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """Evaluate a (p, 2m) int position matrix; returns per-row arrays and,
+        under ``"pnl"``, the (p, scenarios) total P&L that mean and VaR come from.
+
+        Raises :class:`StructureError` on a wrong shape or an out-of-bounds
+        entry in any row.
+        """
+        return self._score(*self._decode(positions))
+
+    def evaluate_pruned(self, positions: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Fitness and feasible mask of the rows of a (p, 2m) int position
+        matrix that may beat ``best``, a per-row bound: (fitness, feasible,
+        rows scored).
+
+        The batch is checked and decoded once.  Every row is bounded by
+        :meth:`subset_floor`, and only the rows whose floor is not at least
+        their ``best`` (a NaN floor included) are scored, by the steps of
+        :meth:`evaluate`, so their fitness and feasibility are its bytes.
+        The others cannot reach ``fitness < best``, and read fitness +inf and
+        infeasible.  Raises :class:`StructureError` as ``evaluate`` does.
+        """
+        idx, notion, cost = self._decode(positions)
+        rows = np.flatnonzero(~(self._subset_floor(idx, notion, cost) >= best))
+        res = self._score(idx[rows], notion[rows], cost[rows])
+        fitness, feasible = np.full(idx.shape[0], np.inf), np.zeros(idx.shape[0], dtype=bool)
+        fitness[rows], feasible[rows] = res["fitness"], res["feasible"]
+        return fitness, feasible, rows.size
 
 
 def within_limit(sums: np.ndarray, limit: float) -> np.ndarray:

@@ -3,7 +3,9 @@
 Standard swarm recursion with three departures that matter here:
 
 * positions are integers: after each velocity step the float position is
-  rounded half-away-from-zero and saturated at the per-slot bounds;
+  rounded half-away-from-zero and saturated at the per-slot bounds
+  (:func:`round_to_bounds`; every lower bound is >= 0, so rounding halves
+  up gives the same integers);
 * the champion among the personal bests is the feasible one with the lowest
   penalty fitness, and only when no personal best is feasible the one with
   the lowest penalty fitness overall.  A feasible champion always displaces
@@ -18,7 +20,8 @@ Standard swarm recursion with three departures that matter here:
 
 Fitness evaluation is pure and vectorized.  A step reads a row's fitness
 only through ``fitness < personal best``, so on large batches (:func:`prunes`)
-it first bounds every row from below with
+it makes one :meth:`BatchEvaluator.evaluate_pruned` call: that decodes the
+batch once, bounds every row from below with the floor of
 :meth:`BatchEvaluator.subset_floor` and scores in full only the rows whose
 floor is not at least their personal best: the pruning rule of branch and
 bound (Land & Doig, 1960), applied per particle.  It is exact, so the
@@ -27,6 +30,10 @@ are scored in the calling thread; worker threads only split a batch scored
 in full (the initial swarm, and every step of a swarm that does not prune),
 so results are bit-identical for any thread count.  The thread pool lives
 only for the duration of :meth:`Swarm.run`.
+
+The step keeps float copies of the positions and the personal bests, so
+its arithmetic never converts an int array; the int positions are written
+once per step, for the evaluator.
 """
 
 from __future__ import annotations
@@ -49,13 +56,19 @@ class StopReason(str, Enum):
     CONCENTRATION = "concentration"
 
 
-def round_half_away_from_zero(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Symmetric integer rounding: 2.5 -> 3, -2.5 -> -3.  Computed in ``out``
-    when given, which must not be ``values``."""
-    rounded = np.abs(values, out=out)
-    rounded += 0.5
-    np.floor(rounded, out=rounded)
-    return np.copysign(rounded, values, out=rounded)
+def round_to_bounds(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Round ``values`` in place to the nearest integer, halves up, and clip
+    them to ``[lower, upper]``.
+
+    With every lower bound >= 0 this is the clipped rounding half away from
+    zero: ``floor(y + 0.5)`` differs from it only at ``y < 0``, where both
+    are <= 0 and clip to the lower bound.
+    """
+    np.add(values, 0.5, out=values)
+    np.floor(values, out=values)
+    # np.clip with per-column bounds takes about half as long again.
+    np.maximum(values, lower, out=values)
+    return np.minimum(values, upper, out=values)
 
 
 class RandomMode(str, Enum):
@@ -136,7 +149,7 @@ class RatsResult:
 
 #: A swarm prunes its steps when one step's full P&L product would take at
 #: least this many multiply-adds (:func:`prunes`).
-PRUNE_MADDS = 1_000_000
+PRUNE_MADDS = 500_000
 
 
 def prunes(problem: ProblemInstance, particles: int) -> bool:
@@ -146,10 +159,10 @@ def prunes(problem: ProblemInstance, particles: int) -> bool:
     adds a fixed cost of numpy calls to every step and saves the full product
     of the rows it prunes, ``(m + 1) x (S + 3)`` multiply-adds each, so it
     pays only on large batches: on one thread of a 2-vCPU host it broke even
-    at about 100 particles on table1 (m = 39) and about 450 on reduced
+    at about 45 particles on table1 (m = 39) and about 250 on reduced
     (m = 3), both with S = 250.  A step prunes when ``particles x (m + 1) x
-    (S + 3)`` is at least :data:`PRUNE_MADDS`, which puts the threshold at 99
-    particles on table1 and 989 on reduced.
+    (S + 3)`` is at least :data:`PRUNE_MADDS`, which puts the threshold at 50
+    particles on table1 and 495 on reduced.
     """
     return particles * (problem.structure.m + 1) * (problem.var_cfg.count + 3) >= PRUNE_MADDS
 
@@ -176,20 +189,18 @@ class Swarm:
                   best: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """Penalty fitness and feasible mask of a batch of positions.
 
-        Given the personal bests ``best`` of a swarm that prunes, only the rows
-        whose :meth:`BatchEvaluator.subset_floor` is not at least their best
-        are scored, in the calling thread; every other row cannot improve and
-        reads fitness +inf and infeasible.  Otherwise the whole batch is
-        scored, split across the run's thread pool.
+        Given the personal bests ``best`` of a swarm that prunes, one
+        :meth:`BatchEvaluator.evaluate_pruned` call in the calling thread
+        scores only the rows whose floor is not at least their best; every
+        other row cannot improve and reads fitness +inf and infeasible.
+        Otherwise the whole batch is scored, split across the run's thread
+        pool.
         """
         p = positions.shape[0]
         self.evaluations += p
         if best is not None and self.prunes:
-            rows = np.flatnonzero(~(self.evaluator.subset_floor(positions) >= best))
-            self.scored += rows.size
-            res = self.evaluator.evaluate(positions[rows])
-            fitness, feasible = np.full(p, np.inf), np.zeros(p, dtype=bool)
-            fitness[rows], feasible[rows] = res["fitness"], res["feasible"]
+            fitness, feasible, scored = self.evaluator.evaluate_pruned(positions, best)
+            self.scored += scored
             return fitness, feasible
         self.scored += p
         if self._pool is None or p < 2 * self.cfg.threads:
@@ -225,9 +236,13 @@ class Swarm:
             # Guarantee a feasible incumbent: one particle trades nothing.
             self.positions[0, m:] = self.problem.empty_position()[m:]
 
-        self._work, self._rounded = np.empty((n, self.dim)), np.empty((n, self.dim))
+        # Float copies of the positions, the personal bests and the bounds, so
+        # that no op of the step's recursion casts an int to a float.
+        self._x, self._work = self.positions.astype(float), np.empty((n, self.dim))
+        self._lower, self._upper = self.lower.astype(float), self.upper.astype(float)
 
         self.best_positions = self.positions.copy()
+        self._best_x = self._x.copy()
         self.best_fitness, self.best_feasible = self._evaluate(self.positions)
         best = self._champion()
         state = RunState(
@@ -242,7 +257,13 @@ class Swarm:
         return state
 
     def _concentration(self, global_best: np.ndarray) -> float:
-        return float(np.mean(np.all(self.best_positions == global_best[None, :], axis=1)))
+        """Share of personal bests equal to ``global_best``.  Each row is
+        compared as one block of bytes, which for int64 entries is equality
+        of every entry."""
+        row = np.dtype((np.void, self.dim * self.best_positions.itemsize))
+        target = np.ascontiguousarray(global_best, dtype=self.best_positions.dtype).view(row)
+        matches = np.count_nonzero(self.best_positions.view(row)[:, 0] == target[0])
+        return float(matches / self.cfg.particles)
 
     # -- one iteration --------------------------------------------------------
 
@@ -256,26 +277,27 @@ class Swarm:
             r1 = self.rng.uniform(size=(n, self.dim))
             r2 = self.rng.uniform(size=(n, self.dim))
 
-        # The velocity and move recursion below, in place:
+        # The velocity and move recursion below, in place on the float copies:
         #   v = inertia * v + c_pers * r1 * (pbest - x) + c_soc * r2 * (gbest - x)
-        #   x = clip(round_half_away_from_zero(x + v), lower, upper)
-        # with the same operations in the same order, so the same bytes.
-        v, work = self.velocities, self._work
+        #   x = round_to_bounds(x + v, lower, upper)
+        # with the same operations in the same order, so the same bytes.  The
+        # positions are small integers, exact as floats.
+        v, work, x = self.velocities, self._work, self._x
         np.multiply(v, state.inertia, out=v)
-        np.subtract(self.best_positions, self.positions, out=work)
+        np.subtract(self._best_x, x, out=work)
         np.multiply(cfg.c_pers * r1, work, out=work)
         np.add(v, work, out=v)
-        np.subtract(state.best_position[None, :], self.positions, out=work)
+        np.subtract(state.best_position.astype(float)[None, :], x, out=work)
         np.multiply(cfg.c_soc * r2, work, out=work)
         np.add(v, work, out=v)
-        np.add(self.positions, v, out=work)
-        rounded = round_half_away_from_zero(work, out=self._rounded)
-        np.clip(rounded, self.lower, self.upper, out=rounded)
-        self.positions[...] = rounded
+        np.add(x, v, out=x)
+        round_to_bounds(x, self._lower, self._upper)
+        self.positions[...] = x
 
         fitness, feasible = self._evaluate(self.positions, self.best_fitness)
         improved = fitness < self.best_fitness
         self.best_positions[improved] = self.positions[improved]
+        self._best_x[improved] = x[improved]
         self.best_fitness[improved] = fitness[improved]
         self.best_feasible[improved] = feasible[improved]
 

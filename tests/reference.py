@@ -25,6 +25,15 @@ bounded and pruned: every step scores every particle in full, in one batch,
 with the step arithmetic written out as plain expressions.  Tests compare
 ``Swarm`` with it in trajectory, position, fitness and stop reason.
 
+:func:`one_product_subset_floor` is ``BatchEvaluator.subset_floor`` as it
+was before it split into two narrow products: every row times one matrix of
+the P&L in the scenarios K, the scenario mean and the three Greeks, and the
+objective floor written out.  Tests compare the two byte for byte.
+
+:func:`round_half_away_from_zero` is the swarm's rounding before its step
+rounded halves up (``floor(y + 0.5)``), which gives the same clipped
+integers because every lower bound is >= 0.
+
 :func:`slice_positions` lists the positions of a slice of the box the way
 ``BatchEvaluator.feasible_slice`` orders its mask, from a Cartesian product
 rather than the oracle's digit decoding.
@@ -50,7 +59,7 @@ from ratpo.features import (
     aggregate,
 )
 from ratpo.instruments import Exercise, Kind, QuoteError
-from ratpo.problem import ConstraintSpec, EvalBreakdown, ProblemInstance
+from ratpo.problem import BatchEvaluator, ConstraintSpec, EvalBreakdown, ProblemInstance
 from ratpo.risk import VarConfig, var_index
 from ratpo.swarm import RandomMode, RatsConfig, StopReason
 
@@ -311,6 +320,34 @@ def slice_positions(problem: ProblemInstance, prefixes: np.ndarray) -> np.ndarra
                            np.tile(trailing, (len(prefixes), 1))], axis=1)
 
 
+def one_product_subset_floor(evaluator: BatchEvaluator, positions: np.ndarray) -> np.ndarray:
+    """``evaluator.subset_floor(positions)`` from one product with every
+    narrow column, over the evaluator's scenarios K.  Positions must be in
+    bounds."""
+    ev, problem = evaluator, evaluator.problem
+    s = problem.var_cfg.count
+    features = np.column_stack([ev._features[:, ev._bound_scenarios], ev._pnl_tables[0], ev._features[:, s:]])
+    idx, notion = ev._slots(np.asarray(positions))
+    k = ev._bound_scenarios.size
+    linear = ev._weights(idx, notion) @ features
+    var_hi = ev._rank_statistic(linear[:, :k])
+    pnl_abs = ev._pnl_tables[3]
+    size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
+    cost = ev._trading_cost(idx, notion)
+    mean_hi, u_lo = linear[:, k] + ev._slack(size), cost - var_hi
+    a_lo = (problem.pnl_rf - mean_hi) + cost
+    floor = np.full(a_lo.shape, -np.inf)
+    np.divide(a_lo, np.inf, out=floor, where=a_lo >= 0.0)
+    np.divide(a_lo, u_lo, out=floor, where=(a_lo < 0.0) & (u_lo > problem.epsilon))
+    with np.errstate(invalid="ignore"):
+        return floor + ev._penalty(ev._violations(linear[:, k + 1:]))
+
+
+def round_half_away_from_zero(values: np.ndarray) -> np.ndarray:
+    """Symmetric integer rounding: 2.5 -> 3, -2.5 -> -3."""
+    return np.copysign(np.floor(np.abs(values) + 0.5), values)
+
+
 def full_scoring_swarm(cfg: RatsConfig, problem: ProblemInstance) -> dict:
     """One swarm run that scores every particle in full on every step, serially.
 
@@ -355,7 +392,7 @@ def full_scoring_swarm(cfg: RatsConfig, problem: ProblemInstance) -> dict:
             r1, r2 = rng.uniform(size=(n, dim)), rng.uniform(size=(n, dim))
         v = inertia * v + cfg.c_pers * r1 * (pbest - x) + cfg.c_soc * r2 * (gbest - x)
         moved = x + v
-        x = np.clip(np.copysign(np.floor(np.abs(moved) + 0.5), moved), lower, upper).astype(np.int64)
+        x = np.clip(round_half_away_from_zero(moved), lower, upper).astype(np.int64)
         res = evaluate(x)
         evaluations += n
         improved = res["fitness"] < pfit

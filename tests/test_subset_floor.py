@@ -9,6 +9,11 @@ a floor that takes the row minimum over K, or K's order statistic one rank
 too low, lands above the fitness; the cancelling numerators are where a
 mean without its rounding slack does.  A NaN floor (an infinite penalty on a
 row with no objective floor) bounds nothing, and the swarm scores its row.
+
+Every floor is also compared byte for byte with
+``reference.one_product_subset_floor``, the floor from one product with
+every narrow column: ``subset_floor`` reads the VaR bound only on the rows
+whose numerator floor is negative, and that must change no floor.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 from hypothesis import given
 
+import reference
 from test_evaluator_properties import ROWS, random_rows
 from test_fitness_floor import DRAWS, SETTINGS, variants
 
@@ -45,17 +51,24 @@ def checks(problem: ProblemInstance, seed: int, epsilon: float,
             yield "drawn", problem, rows, rng.choice(s, size=rng.integers(rank, s + 1), replace=False)
 
 
-def subset_floor(problem: ProblemInstance, rows: np.ndarray, scenarios: Optional[np.ndarray]) -> np.ndarray:
-    """``subset_floor`` of ``rows`` with the scenarios K, set before the
-    evaluator builds its narrow features."""
+def evaluator_with(problem: ProblemInstance, scenarios: Optional[np.ndarray]) -> BatchEvaluator:
+    """An evaluator whose scenarios K are set before it builds its narrow features."""
     evaluator = BatchEvaluator(problem)
     if scenarios is not None:
         evaluator._bound_scenarios = np.sort(scenarios)
-    return evaluator.subset_floor(rows)
+    return evaluator
+
+
+def subset_floor(problem: ProblemInstance, rows: np.ndarray, scenarios: Optional[np.ndarray]) -> np.ndarray:
+    """``subset_floor`` of ``rows`` with the scenarios K."""
+    return evaluator_with(problem, scenarios).subset_floor(rows)
 
 
 def assert_floor_holds(problem: ProblemInstance, rows: np.ndarray, scenarios: Optional[np.ndarray]) -> np.ndarray:
-    floor = subset_floor(problem, rows, scenarios)
+    evaluator = evaluator_with(problem, scenarios)
+    floor = evaluator.subset_floor(rows)
+    want = reference.one_product_subset_floor(evaluator, rows)
+    assert floor.tobytes() == want.tobytes(), np.flatnonzero(floor.view(np.int64) != want.view(np.int64))
     res = problem.evaluator.evaluate(rows)
     fit = res["fitness"]
     assert not np.any(floor > fit), (floor[floor > fit], fit[floor > fit])
@@ -97,17 +110,20 @@ def test_strategy_covers_the_named_cases():
 
 
 def test_narrow_product_columns_match_the_full_product(reduced_problem, table1_problem):
-    """The bound rests on this: each column of the narrow product is
-    bit-identical to the same column of ``evaluate``'s full product."""
+    """The bound rests on this: the Greek columns of the first narrow
+    product, and every column of the second on a subset of the rows, are
+    bit-identical to the same columns of ``evaluate``'s full product."""
     for problem in (reduced_problem, table1_problem):
         ev = problem.evaluator
-        rows = np.random.default_rng(9).integers(*problem.structure.position_bounds(),
-                                                 size=(2000, 2 * ev.m), endpoint=True)
-        weights = ev._weights(*ev._slots(rows))
-        full, narrow = weights @ ev._features, weights @ ev._bound_features
-        k = ev._bound_scenarios.size
-        assert np.array_equal(narrow[:, :k], full[:, ev._bound_scenarios])
-        assert np.array_equal(narrow[:, k + 1:], full[:, -3:])
+        rng = np.random.default_rng(9)
+        rows = rng.integers(*problem.structure.position_bounds(), size=(2000, 2 * ev.m), endpoint=True)
+        idx, notion = ev._slots(rows)
+        full = ev._weights(idx, notion) @ ev._features
+        narrow = ev._weights(idx, notion) @ ev._floor_features
+        assert narrow[:, 1:].tobytes() == np.ascontiguousarray(full[:, -3:]).tobytes()
+        some = np.flatnonzero(rng.random(len(rows)) < 0.2)
+        scenarios = ev._weights(idx[some], notion[some]) @ ev._var_features
+        assert scenarios.tobytes() == np.ascontiguousarray(full[some][:, ev._bound_scenarios]).tobytes()
 
 
 def test_floor_holds_on_generated_instances(reduced_problem, table1_problem):

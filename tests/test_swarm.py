@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_problem
+from reference import round_half_away_from_zero
 
 from ratpo.problem import EosStructure, SlotSpec
 from ratpo.swarm import (
@@ -15,7 +16,7 @@ from ratpo.swarm import (
     RatsConfig,
     StopReason,
     Swarm,
-    round_half_away_from_zero,
+    round_to_bounds,
     run,
 )
 
@@ -35,6 +36,33 @@ class TestRounding:
     def test_move_of_point_six_rounds_up(self):
         # position 2 plus velocity 0.6 lands on 3
         assert round_half_away_from_zero(np.array([2 + 0.6]))[0] == 3.0
+
+    @staticmethod
+    def assert_step_rounding_matches(values, lower, upper):
+        want = np.clip(round_half_away_from_zero(values), lower, upper).astype(np.int64)
+        got = round_to_bounds(values.copy(), lower, upper)
+        assert np.array_equal(got.astype(np.int64), want)
+        # The step keeps got as its float positions: no -0.0 may enter them.
+        assert not np.signbit(got).any()
+
+    def test_step_rounding_matches_half_away_from_zero_above_zero_bounds(self):
+        below_half = np.nextafter(0.5, 0.0)
+        values = np.array([
+            0.5, 1.5, 2.5, 38.5, -0.5, -1.5, -2.5, 0.0, -0.0, below_half, -below_half,
+            np.nextafter(1.5, 0.0), np.nextafter(-1.5, 0.0), 1e15 + 0.5, 2.0**52 + 1.0, 1e300, -1e300,
+            np.inf, -np.inf,
+        ])
+        for lower, upper in ((0.0, 20.0), (1.0, 40.0), (0.0, 2.0**60), (3.0, 3.0)):
+            self.assert_step_rounding_matches(values, np.full(values.size, lower), np.full(values.size, upper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 50), st.integers(0, 50)),
+                    min_size=1, max_size=20))
+    def test_step_rounding_matches_half_away_from_zero_on_draws(self, rows):
+        values = np.array([v for v, _, _ in rows])
+        lower = np.array([min(a, b) for _, a, b in rows], dtype=float)
+        upper = np.array([max(a, b) for _, a, b in rows], dtype=float)
+        self.assert_step_rounding_matches(values, lower, upper)
 
 
 class TestConfigValidation:

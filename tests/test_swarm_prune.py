@@ -1,11 +1,11 @@
 """The pruned swarm step against the full-scoring reference swarm
 (``reference.full_scoring_swarm``).
 
-A pruning step scores in full only the rows whose
-``BatchEvaluator.subset_floor`` is below their personal best.  Pruning is
-exact, so trajectory, final position, fitness and stop reason must equal
-the reference's, for any thread count, and the evaluation count still
-counts every position.
+A pruning step makes one ``BatchEvaluator.evaluate_pruned`` call, which
+scores in full only the rows whose ``subset_floor`` is below their personal
+best.  Pruning is exact, so trajectory, final position, fitness and stop
+reason must equal the reference's, for any thread count, and the evaluation
+count still counts every position.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 import reference
 
 from ratpo.problem import ProblemInstance
-from ratpo.swarm import PRUNE_MADDS, RandomMode, RatsConfig, RatsResult, Swarm, prunes, run
+from ratpo.swarm import PRUNE_MADDS, RandomMode, RatsConfig, RatsResult, StopReason, Swarm, prunes, run
 
 #: bench/'s table1_swarm run: 1000 particles, 50 iterations, no early stop.
 TABLE1 = dict(particles=1000, k_max=50, k_max_stall=10**9, tau_p=0.999999)
@@ -52,6 +52,43 @@ def test_reduced_matches_full_scoring(reduced_problem, particles, seed):
     assert_matches_reference(RatsConfig(particles=particles, seed=seed), reduced_problem)
 
 
+def test_concentration_stop_matches_full_scoring(reduced_problem):
+    # A falling inertia and no stall stop let three quarters of the personal
+    # bests gather on the global best, so the swarm's concentration is
+    # checked against the reference's at a high share, on every step.
+    cfg = RatsConfig(particles=1000, w_min=0.3, w_max=0.9, k_max_stall=10**9, seed=3)
+    assert prunes(reduced_problem, cfg.particles)
+    result = assert_matches_reference(cfg, reduced_problem)
+    assert result.stop_reason is StopReason.CONCENTRATION
+    assert result.trajectory[-1][2] >= cfg.tau_p
+
+
+@pytest.mark.parametrize("name", ["reduced", "table1"])
+def test_evaluate_pruned_scores_the_kept_rows_as_evaluate(request, name):
+    """The fused call's kept rows are those whose floor is not at least their
+    bound, NaN floors included; they carry ``evaluate``'s bytes, and every
+    other row reads +inf and infeasible."""
+    problem = request.getfixturevalue(f"{name}_problem")
+    swarm = Swarm(RatsConfig(particles=1000, seed=12), problem)
+    state = swarm.initialize()
+    for _ in range(5):
+        swarm.step(state)
+    rng = np.random.default_rng(13)
+    rows = np.concatenate([swarm.positions, rng.integers(*problem.structure.position_bounds(),
+                                                         size=(500, swarm.dim), endpoint=True)])
+    best = np.concatenate([swarm.best_fitness, rng.choice(swarm.best_fitness, 500)])
+    best[rng.random(best.size) < 0.05] = np.inf
+    best[rng.random(best.size) < 0.05] = -np.inf
+    ev = problem.evaluator
+    fitness, feasible, scored = ev.evaluate_pruned(rows, best)
+    kept = ~(ev.subset_floor(rows) >= best)
+    assert 0 < scored == kept.sum() < rows.shape[0]
+    want = ev.evaluate(rows[kept])
+    assert fitness[kept].tobytes() == want["fitness"].tobytes()
+    assert np.array_equal(feasible[kept], want["feasible"])
+    assert np.all(fitness[~kept] == np.inf) and not feasible[~kept].any()
+
+
 def test_per_particle_random_mode_matches_full_scoring(reduced_problem):
     assert_matches_reference(RatsConfig(particles=1000, k_max=30, seed=5, random_mode=RandomMode.PER_PARTICLE),
                              reduced_problem)
@@ -69,7 +106,7 @@ def test_every_fitness_infinite(reduced_problem):
     assert result.scored == result.evaluations
 
 
-@pytest.mark.parametrize("name, threshold", [("table1", 99), ("reduced", 989)])
+@pytest.mark.parametrize("name, threshold", [("table1", 50), ("reduced", 495)])
 def test_prune_rule_depends_on_problem_and_particles(request, name, threshold):
     problem = request.getfixturevalue(f"{name}_problem")
     width = (problem.structure.m + 1) * (problem.var_cfg.count + 3)
