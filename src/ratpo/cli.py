@@ -332,7 +332,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(f"oracle: {done}/{total} positions screened, bounded and scored", file=sys.stderr)
     try:
         result = oracle_mod.enumerate_space(
-            problem, tau_eq=args.tau_eq, budget=args.budget, threads=args.threads, progress=progress,
+            problem, tau_eq=args.tau_eq, budget=args.budget, progress=progress,
         )
     except oracle_mod.BudgetExceeded as exc:
         print(f"oracle: {exc}", file=sys.stderr)
@@ -381,8 +381,6 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     pcfg = load_problem_config(args.problem)
     rcfg = load_rats_config(args.rats, None, None)
     grids = dict(_parse_grid(g) for g in args.grid)
@@ -412,7 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def run_cell(cell):
         tau, cp, cs = cell
         seed = derive_cell_seed(args.seed, cp, cs, tau)
-        cfg = dataclasses.replace(rcfg, c_pers=cp, c_soc=cs, seed=seed, threads=1)
+        cfg = dataclasses.replace(rcfg, c_pers=cp, c_soc=cs, seed=seed)
         try:
             result = swarm_mod.run(cfg, problems[tau])
             return (cp, cs, tau, result.fitness, result.iterations, result.wall_seconds,
@@ -420,11 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except Exception as exc:  # noqa: BLE001 - cell failures are reported, not fatal
             return (cp, cs, tau, float("nan"), 0, 0.0, "", seed, f"failed: {exc}")
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    rows = [run_cell(c) for c in cells]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -457,6 +451,21 @@ def _at_least(minimum: int):
     return parse
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type: a float that is at least 0; +inf passes, NaN does not."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+#: The --threads flags are checked but have no effect; they stay so that existing command lines run.
+THREADS_HELP = "at least 1; has no effect, every run uses the calling thread"
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ratpo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,16 +488,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", default=os.environ.get(ENV_PROBLEM_CONFIG))
     p.add_argument("--rats", default=os.environ.get(ENV_RATS_CONFIG))
     p.add_argument("--seed", type=_at_least(0), default=None, help="override the swarm seed")
-    p.add_argument("--threads", type=_at_least(1), default=None)
+    p.add_argument("--threads", type=_at_least(1), default=None, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("oracle", help="brute-force the full strategy space")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--problem", default=os.environ.get(ENV_PROBLEM_CONFIG))
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--tau-eq", type=float, default=1e-12)
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--budget", type=_at_least(1), default=10_000_000)
+    p.add_argument("--tau-eq", type=_non_negative_float, default=1e-12)
+    p.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     p.add_argument("--progress", action="store_true",
                    help="after each block, print to stderr how many positions are screened, bounded and scored")
     p.add_argument("--out", required=True)
@@ -501,7 +510,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", nargs="+", default=["c_pers=0.1:1.9:0.1", "c_soc=0.1:1.9:0.1"])
     p.add_argument("--tau-g", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

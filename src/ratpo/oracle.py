@@ -7,9 +7,8 @@ positions of the box:
 1. Screen.  The whole box's feasible mask comes from
    :meth:`BatchEvaluator.feasible_slice`, which adds small per-slot Greek
    tables instead of decoding positions, one Greek at a time, and tests each
-   sum against its limit directly; it runs in leading-digit chunks on
-   ``threads`` workers.  The mask is bit-identical to the one
-   :meth:`BatchEvaluator.evaluate` computes.
+   sum against its limit directly, in leading-digit chunks.  The mask is
+   bit-identical to the one :meth:`BatchEvaluator.evaluate` computes.
 2. Floor.  Each block decodes its feasible positions and gets a lower bound
    on their fitness from :meth:`BatchEvaluator.fitness_floor`, with no P&L
    row built.  The few positions with the lowest floors are scored in full,
@@ -17,8 +16,9 @@ positions of the box:
 3. Score.  Each block runs the full fitness (P&L, VaR, cost) only on the
    feasible positions whose floor is at most ``incumbent + tau_eq``.
 
-Steps 2 and 3 run in the calling thread: they are many small numpy calls,
-and on the reduced instance (2 vCPUs) a second thread made them slower.
+All three steps run in the calling thread: they are many small numpy
+calls, and on the reduced instance (2 vCPUs) a second thread made them
+slower.  ``Enumerator.enumerate`` accepts ``threads`` but starts no thread.
 
 Step 3 is exact: it is the pruning rule of branch and bound (Land & Doig,
 1960).  A pruned position has ``fitness >= floor > incumbent + tau_eq >=
@@ -32,13 +32,12 @@ kept, and ``truncated`` says that the set holds more.  The empty position is
 feasible for any limits and always enumerated, so the status is always
 ``"optimal"``; when every feasible position's denominator is degenerate,
 they all tie at an infinite optimum.  Every step's output is in enumeration
-order, so the result depends on neither the thread count nor the block size.
+order, so the result does not depend on the block size.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,7 +97,7 @@ class Enumerator:
             flat = np.arange(flat, stop, dtype=np.int64)
         return self._decode(np.asarray(flat, dtype=np.int64), self.sizes.size)
 
-    def feasible_mask(self, block_size: int = 65_536, threads: int = 1) -> np.ndarray:
+    def feasible_mask(self, block_size: int = 65_536) -> np.ndarray:
         """One bool per position of the box, in enumeration order: True where
         the position passes the sensitivity limits.
 
@@ -106,8 +105,8 @@ class Enumerator:
         positions: every chunk is a run of prefixes over the k leading digits,
         with k as small as that bound allows, and
         :meth:`BatchEvaluator.feasible_slice` screens each chunk without
-        decoding it.  Chunks run on ``threads`` workers; the mask does not
-        depend on either argument.
+        decoding it, in order, into one work array.  The mask does not
+        depend on ``block_size``.
         """
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -117,21 +116,12 @@ class Enumerator:
             tail *= int(self.sizes[k])
         prefixes, step = self.total // tail, block_size // tail
         mask = np.empty(self.total, dtype=bool)
-
-        def screen(firsts: range) -> None:
-            # One work array, a float per position, for all of this worker's chunks (feasible_slice).
-            work = np.empty(min(step, prefixes) * tail)
-            for first in firsts:
-                last = min(first + step, prefixes)
-                chunk = self._decode(np.arange(first, last, dtype=np.int64), k)
-                mask[first * tail: last * tail] = self.evaluator.feasible_slice(chunk, work)
-
-        # Worker w screens chunks w, w + threads, ...: interleaved, so the
-        # workers' shares stay even.
-        shares = [range(w * step, prefixes, threads * step) for w in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in (pool.map if threads > 1 else map)(screen, shares):
-                pass
+        # One work array, a float per position, for every chunk (feasible_slice).
+        work = np.empty(min(step, prefixes) * tail)
+        for first in range(0, prefixes, step):
+            last = min(first + step, prefixes)
+            chunk = self._decode(np.arange(first, last, dtype=np.int64), k)
+            mask[first * tail: last * tail] = self.evaluator.feasible_slice(chunk, work)
         return mask
 
     def enumerate(
@@ -144,16 +134,24 @@ class Enumerator:
     ) -> OracleResult:
         """The optimum and the optimal set over the whole box (module docstring).
 
+        ``tau_eq`` must be at least 0 (+inf included) and ``budget`` at least
+        1.  ``threads`` must be at least 1 but has no effect: the enumeration
+        runs in the calling thread.
+
         ``progress(done, total)`` is called once per block of the scoring
         step, in block order: ``done`` box positions, every block up to this
         one, have been screened, bounded and scored out of ``total``.
         """
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
+        if not tau_eq >= 0:
+            raise ValueError(f"tau_eq must be >= 0, got {tau_eq}")
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
         if self.total > budget:
             raise BudgetExceeded(self.total, budget)
         t0 = time.perf_counter()
-        feasible = np.flatnonzero(self.feasible_mask(block_size, threads))
+        feasible = np.flatnonzero(self.feasible_mask(block_size))
         # Block b holds the feasible flat indices feasible[cuts[b]:cuts[b + 1]].
         stops = [min(a + block_size, self.total) for a in range(0, self.total, block_size)]
         cuts = np.searchsorted(feasible, [0] + stops)

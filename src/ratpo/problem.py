@@ -394,9 +394,9 @@ class BatchEvaluator:
     ``csr @ features`` accumulates every row as
     ``((0 + init) + n_1 f_1) + ... + n_m f_m``, slot by slot, exactly like a
     per-slot loop.  That makes each row's numbers independent of the batch it
-    arrived in, so multi-threaded callers get bit-identical output.  A dense
-    product (one-hot matrix times ``features``) is not used: BLAS gives no
-    row-wise summation-order guarantee.
+    arrived in, so a caller may split or subset a batch and get the same
+    bytes.  A dense product (one-hot matrix times ``features``) is not used:
+    BLAS gives no row-wise summation-order guarantee.
 
     The public calls share private steps: :meth:`_decode` checks a batch and
     decodes it into slot rows, notionals and trading cost; :meth:`_score` is

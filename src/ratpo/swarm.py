@@ -25,11 +25,9 @@ batch once, bounds every row from below with the floor of
 :meth:`BatchEvaluator.subset_floor` and scores in full only the rows whose
 floor is not at least their personal best: the pruning rule of branch and
 bound (Land & Doig, 1960), applied per particle.  It is exact, so the
-trajectory is the one full scoring gives.  The floor and the rows it keeps
-are scored in the calling thread; worker threads only split a batch scored
-in full (the initial swarm, and every step of a swarm that does not prune),
-so results are bit-identical for any thread count.  The thread pool lives
-only for the duration of :meth:`Swarm.run`.
+trajectory is the one full scoring gives.  Every batch is scored in the
+calling thread, by one evaluator call; ``RatsConfig.threads`` is accepted
+but starts no thread.
 
 The step keeps float copies of the positions and the personal bests, so
 its arithmetic never converts an int array; the int positions are written
@@ -39,7 +37,6 @@ once per step, for the evaluator.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -93,8 +90,9 @@ class RatsConfig:
     k_max_stall: int = 100
     seed: int = 0
     random_mode: RandomMode = RandomMode.SHARED
+    # Checked but without effect (every batch runs in the calling thread); kept
+    # because existing rats.json files and the benchmark still set it.
     threads: int = 1
-    inject_zero_strategy: bool = True
 
     def __post_init__(self) -> None:
         if self.particles < 1:
@@ -180,8 +178,6 @@ class Swarm:
         self.evaluations = 0
         self.scored = 0
         self.prunes = prunes(problem, cfg.particles)
-        # Set only inside run(); a swarm stepped by hand evaluates serially.
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- evaluation -----------------------------------------------------------
 
@@ -190,11 +186,10 @@ class Swarm:
         """Penalty fitness and feasible mask of a batch of positions.
 
         Given the personal bests ``best`` of a swarm that prunes, one
-        :meth:`BatchEvaluator.evaluate_pruned` call in the calling thread
-        scores only the rows whose floor is not at least their best; every
-        other row cannot improve and reads fitness +inf and infeasible.
-        Otherwise the whole batch is scored, split across the run's thread
-        pool.
+        :meth:`BatchEvaluator.evaluate_pruned` call scores only the rows whose
+        floor is not at least their best; every other row cannot improve and
+        reads fitness +inf and infeasible.  Otherwise one
+        :meth:`BatchEvaluator.evaluate` call scores the whole batch.
         """
         p = positions.shape[0]
         self.evaluations += p
@@ -203,17 +198,8 @@ class Swarm:
             self.scored += scored
             return fitness, feasible
         self.scored += p
-        if self._pool is None or p < 2 * self.cfg.threads:
-            res = self.evaluator.evaluate(positions)
-            return res["fitness"], res["feasible"]
-
-        def part(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            res = self.evaluator.evaluate(positions[rows])
-            return res["fitness"], res["feasible"]
-
-        chunks = np.array_split(np.arange(p), self.cfg.threads)
-        fitness, feasible = zip(*self._pool.map(part, chunks))
-        return np.concatenate(fitness), np.concatenate(feasible)
+        res = self.evaluator.evaluate(positions)
+        return res["fitness"], res["feasible"]
 
     def _champion(self) -> int:
         """The personal best that leads: feasible before infeasible, then lowest
@@ -232,9 +218,8 @@ class Swarm:
         for j in range(self.dim):
             self.positions[:, j] = self.rng.integers(self.lower[j], self.upper[j] + 1, size=n)
         self.velocities = self.rng.uniform(cfg.v_min, cfg.v_max, size=(n, self.dim))
-        if cfg.inject_zero_strategy:
-            # Guarantee a feasible incumbent: one particle trades nothing.
-            self.positions[0, m:] = self.problem.empty_position()[m:]
+        # Guarantee a feasible incumbent: one particle trades nothing.
+        self.positions[0, m:] = self.problem.empty_position()[m:]
 
         # Float copies of the positions, the personal bests and the bounds, so
         # that no op of the step's recursion casts an int to a float.
@@ -327,26 +312,19 @@ class Swarm:
         cfg = self.cfg
         t0 = time.perf_counter()
         self.evaluations = self.scored = 0
-        # No worker thread starts before the first submit, so one thread costs nothing here.
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            self._pool = pool if cfg.threads > 1 else None
-            try:
-                state = self.initialize()
-                init_seconds = time.perf_counter() - t0
-                state.trajectory.append((0, state.best_fitness, state.concentration, state.stall,
-                                         init_seconds))
-                while (
-                    state.iteration < cfg.k_max
-                    and state.stall < cfg.k_max_stall
-                    and state.concentration < cfg.tau_p
-                ):
-                    self.step(state)
-                    state.trajectory.append((
-                        state.iteration, state.best_fitness, state.concentration,
-                        state.stall, time.perf_counter() - t0,
-                    ))
-            finally:
-                self._pool = None
+        state = self.initialize()
+        init_seconds = time.perf_counter() - t0
+        state.trajectory.append((0, state.best_fitness, state.concentration, state.stall, init_seconds))
+        while (
+            state.iteration < cfg.k_max
+            and state.stall < cfg.k_max_stall
+            and state.concentration < cfg.tau_p
+        ):
+            self.step(state)
+            state.trajectory.append((
+                state.iteration, state.best_fitness, state.concentration,
+                state.stall, time.perf_counter() - t0,
+            ))
 
         if state.iteration >= cfg.k_max:
             state.stop_reason = StopReason.MAX_ITER

@@ -366,8 +366,7 @@ def full_scoring_swarm(cfg: RatsConfig, problem: ProblemInstance) -> dict:
     for j in range(dim):
         x[:, j] = rng.integers(lower[j], upper[j] + 1, size=n)
     v = rng.uniform(cfg.v_min, cfg.v_max, size=(n, dim))
-    if cfg.inject_zero_strategy:
-        x[0, m:] = problem.empty_position()[m:]
+    x[0, m:] = problem.empty_position()[m:]
     res = evaluate(x)
     pbest, pfit, pfeas = x.copy(), res["fitness"], res["feasible"]
     evaluations = n

@@ -164,7 +164,7 @@ class TestBadConfigs:
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [{"random_mode": "bogus"}, {"particles": 0}, {"seed": -1},
-                                         {"particles": 2.5}])
+                                         {"particles": 2.5}, {"inject_zero_strategy": False}])
     def test_rats_config_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, payload):
         problem, _ = configs
         path = write_json(tmp_path / "rats.json", payload)
@@ -184,6 +184,17 @@ class TestBadConfigs:
                   "--threads", "0", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau-eq", "nan"), ("--tau-eq", "-1"), ("--budget", "0"), ("--budget", "-5"),
+    ])
+    def test_bad_oracle_flag_is_usage_error(self, data_dir, configs, tmp_path, capsys, flag, value):
+        problem, _ = configs
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--data-dir", str(data_dir), "--problem", problem, flag, value,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_tau_list_exit_2(self, data_dir, configs, tmp_path, capsys):
         problem, rats = configs
@@ -393,6 +404,13 @@ class TestOracleCmd:
         # 12 calls+puts and 6 futures on two tenors, 3-point grids
         assert all(int(r["count"]) == (12 * 3) ** 2 * (6 * 3) for r in rows)
         assert all(r["status"] == "optimal" and r["truncated"] == "0" for r in rows)
+
+    def test_infinite_tau_eq_is_valid(self, data_dir, tmp_path):
+        problem = write_json(tmp_path / "p.json", {"tau_g": 0.5, "grid_points": 3})
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--data-dir", str(data_dir), "--problem", problem,
+                     "--budget", "100000", "--tau-eq", "inf", "--out", str(out)]) == 0
+        assert (out / "oracle.csv").exists()
 
     def test_summary_reports_feasible_count(self, data_dir, tmp_path, capsys):
         problem = write_json(tmp_path / "p.json", {"tau_g": 0.5, "grid_points": 3})

@@ -55,7 +55,7 @@ class TestEnumeration:
         reduced = dataclasses.replace(reduced_problem, constraints=dataclasses.replace(
             c, tau_delta=0.0, tau_vega=0.0, tau_gamma=0.0))
         for problem in (make_toy_problem(tau=0.0), reduced):
-            result = enumerate_space(problem, budget=10**6, threads=2)
+            result = enumerate_space(problem, budget=10**6)
             assert result.status == "optimal" and np.isfinite(result.optimal_fitness)
             empty = problem.empty_position().tolist()
             assert empty in [p.tolist() for p in result.optimal_positions]
@@ -68,12 +68,20 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="threads"):
             enumerate_space(toy_problem, budget=1000, threads=0)
 
-    def test_threaded_enumeration_matches_sequential(self, toy_problem):
-        seq = enumerate_space(toy_problem, budget=1000, block_size=57)
-        par = enumerate_space(toy_problem, budget=1000, block_size=57, threads=4)
-        assert seq.optimal_fitness == par.optimal_fitness
-        assert [p.tolist() for p in seq.optimal_positions] == \
-            [p.tolist() for p in par.optimal_positions]
+    @pytest.mark.parametrize("kwargs", [
+        {"tau_eq": math.nan}, {"tau_eq": -1.0}, {"tau_eq": -math.inf}, {"budget": 0}, {"budget": -5},
+    ], ids=["tau-eq-nan", "tau-eq-negative", "tau-eq-minus-inf", "budget-zero", "budget-negative"])
+    def test_rejects_bad_tau_eq_and_budget(self, toy_problem, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            enumerate_space(toy_problem, **{"budget": 1000, **kwargs})
+
+    def test_infinite_tau_eq_keeps_every_feasible_position(self, toy_problem):
+        result = enumerate_space(toy_problem, budget=1000, tau_eq=math.inf)
+        en = Enumerator(toy_problem)
+        feasible = en.positions_for(np.flatnonzero(en.feasible_mask()))
+        assert [p.tolist() for p in result.optimal_positions] == feasible.tolist()
+        assert result.feasible == len(feasible)
 
     def test_optimal_set_contains_exact_ties(self, toy_problem):
         result = enumerate_space(toy_problem, budget=1000)
@@ -114,11 +122,10 @@ class TestEnumeration:
         monkeypatch.setattr(Enumerator, "feasible_mask", lambda self, *args: np.ones(6, dtype=bool))
         monkeypatch.setattr(BatchEvaluator, "evaluate", evaluate)
         monkeypatch.setattr(BatchEvaluator, "fitness_floor", lambda self, positions: np.full(len(positions), -np.inf))
-        for threads in (1, 2):
-            result = enumerate_space(problem, budget=100, block_size=3, threads=threads)
-            assert result.optimal_fitness == min(fits)
-            assert [p.tolist() for p in result.optimal_positions] == en.positions_for(np.array(optimal)).tolist()
-            assert result.truncated is truncated
+        result = enumerate_space(problem, budget=100, block_size=3)
+        assert result.optimal_fitness == min(fits)
+        assert [p.tolist() for p in result.optimal_positions] == en.positions_for(np.array(optimal)).tolist()
+        assert result.truncated is truncated
 
     def test_block_size_does_not_change_result(self, toy_problem):
         a = enumerate_space(toy_problem, budget=1000, block_size=7)
@@ -133,11 +140,10 @@ class TestEnumeration:
         assert result.fitness >= oracle.optimal_fitness - 1e-9
 
     def test_progress_callback_invoked(self, toy_problem):
-        for threads in (1, 2):
-            calls = []
-            enumerate_space(toy_problem, budget=1000, block_size=64, threads=threads,
-                            progress=lambda done, total: calls.append((done, total)))
-            assert calls == [(done, 300) for done in (64, 128, 192, 256, 300)]
+        calls = []
+        enumerate_space(toy_problem, budget=1000, block_size=64,
+                        progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(done, 300) for done in (64, 128, 192, 256, 300)]
 
     def test_reduced_optima_match_bench_reference(self, reduced_problem):
         # Built once; only the constraints depend on tau, as in criterion 7.
@@ -147,7 +153,7 @@ class TestEnumeration:
         for tau, ref in (("0.1", 1440), ("0.5", 90), ("1.0", 87)):
             problem = dataclasses.replace(reduced_problem, constraints=dataclasses.replace(
                 c, tau_delta=float(tau), tau_vega=float(tau), tau_gamma=float(tau)))
-            result = enumerate_space(problem, budget=10**6, threads=2)
+            result = enumerate_space(problem, budget=10**6)
             assert result.count == reference["positions"]
             assert abs(result.optimal_fitness - reference["optima"][tau]["fitness"]) <= 1e-12
             assert len(result.optimal_positions) == reference["optima"][tau]["optimal_set_size"] == ref

@@ -4,7 +4,7 @@
 The reference evaluates every position and reads the optimal set off the
 feasible ones, with no Greek screen and no fitness floor.  The optimum, the
 optimal positions and their order, ``truncated``, ``count`` and the feasible
-count must be equal, for every block size and thread count.  The problems are
+count must be equal, for every block size.  The problems are
 the evaluator property tests' exact quarter-valued ones (``tau = 0`` limits
 and degenerate denominators included), half of them with a book that loses in
 every scenario, so that finite optima are as common as infinite ones.
@@ -57,9 +57,8 @@ def test_feasibility_first_equals_full_scan(block_size, problem):
     for cap in (oracle.MAX_OPTIMAL_SET, 2):
         with mock.patch.object(oracle, "MAX_OPTIMAL_SET", cap):
             want = reference.full_scan_enumerate(problem, block_size=block_size)
-            for threads in (1, 2):
-                got = enumerate_space(problem, budget=10**6, block_size=block_size, threads=threads)
-                assert_same_result(got, want)
+            got = enumerate_space(problem, budget=10**6, block_size=block_size)
+            assert_same_result(got, want)
 
 
 def test_strategy_covers_the_named_cases():

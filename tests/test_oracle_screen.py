@@ -3,9 +3,9 @@
 ``Enumerator.feasible_mask`` gets every position's feasibility from
 ``BatchEvaluator.feasible_slice``, which adds per-slot Greek tables instead of
 decoding positions and building CSR weights.  Its mask must carry the bytes of
-``evaluate(every position)["feasible"]`` for every block size and thread
-count, and ``enumerate`` must then bound exactly the feasible positions and
-score only feasible ones.
+``evaluate(every position)["feasible"]`` for every block size, and
+``enumerate`` must then bound exactly the feasible positions and score only
+feasible ones.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ def reduced_masks(reduced_problem):
 @given(problem=problems())
 def test_mask_matches_evaluate(block_size, problem):
     assume(search_space_size(problem.structure) <= MAX_SPACE[block_size])
-    want = full_mask(problem).tobytes()
-    for threads in (1, 2):
-        assert Enumerator(problem).feasible_mask(block_size, threads).tobytes() == want
+    assert Enumerator(problem).feasible_mask(block_size).tobytes() == full_mask(problem).tobytes()
 
 
 @SETTINGS
@@ -108,17 +106,14 @@ def test_reduced_mask_matches_evaluate(reduced_masks, tau):
     # twelve one-digit prefixes.
     problem, want = reduced_masks[tau]
     for block_size in (700, 65_536):
-        for threads in (1, 2):
-            got = Enumerator(problem).feasible_mask(block_size, threads)
-            assert got.tobytes() == want.tobytes(), (block_size, threads)
+        got = Enumerator(problem).feasible_mask(block_size)
+        assert got.tobytes() == want.tobytes(), block_size
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_enumerate_bounds_every_feasible_row_and_scores_few(reduced_masks, threads):
-    """Floors are taken of every feasible position once and of no other; the
-    full fitness runs on feasible positions only, as many rows as ``scored``
-    reports.  Worker threads may call in any order, and enumeration order is
-    lexicographic, so the bounded rows are compared sorted."""
+def test_enumerate_bounds_every_feasible_row_and_scores_few(reduced_masks):
+    """Floors are taken of every feasible position once, in enumeration
+    order, and of no other; the full fitness runs on feasible positions only,
+    as many rows as ``scored`` reports."""
     problems_and_masks = [reduced_masks[0.5]]
     toy = make_toy_problem()
     problems_and_masks.append((toy, full_mask(toy)))
@@ -136,9 +131,9 @@ def test_enumerate_bounds_every_feasible_row_and_scores_few(reduced_masks, threa
 
         with mock.patch.object(BatchEvaluator, "fitness_floor", bound), \
                 mock.patch.object(BatchEvaluator, "evaluate", score):
-            result = enumerate_space(problem, budget=10**6, threads=threads)
+            result = enumerate_space(problem, budget=10**6)
         en = Enumerator(problem)
-        assert sorted(np.concatenate(bounded).tolist()) == en.positions_for(np.flatnonzero(want)).tolist()
+        assert np.concatenate(bounded).tolist() == en.positions_for(np.flatnonzero(want)).tolist()
         assert all(problem.evaluator.feasible_slice(rows).all() for rows in scored)
         assert result.scored == sum(map(len, scored))
         assert result.feasible == int(want.sum())
@@ -154,7 +149,7 @@ def test_reduced_oracle_scores_few_of_the_feasible_rows(reduced_masks):
     feasible = en.positions_for(np.flatnonzero(mask))
     fit = problem.evaluator.evaluate(feasible)["fitness"]
     best = fit.min()
-    result = enumerate_space(problem, budget=10**6, threads=2)
+    result = enumerate_space(problem, budget=10**6)
     assert result.optimal_fitness == best
     assert [p.tolist() for p in result.optimal_positions] == feasible[fit <= best + 1e-12].tolist()
     assert len(result.optimal_positions) == 90 and not result.truncated

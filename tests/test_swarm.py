@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ class TestConfigValidation:
 class TestInitialization:
     def test_positions_within_bounds_mass_draw(self):
         problem = make_toy_problem()
-        swarm = Swarm(RatsConfig(particles=100_000, seed=1, inject_zero_strategy=False), problem)
+        swarm = Swarm(RatsConfig(particles=100_000, seed=1), problem)
         swarm.initialize()
         lo, hi = problem.structure.position_bounds()
         assert np.all(swarm.positions >= lo) and np.all(swarm.positions <= hi)
@@ -89,7 +88,7 @@ class TestInitialization:
     def test_fixed_seed_bit_identical_init(self):
         problem = make_toy_problem()
         a = Swarm(RatsConfig(particles=500, seed=42), problem)
-        b = Swarm(RatsConfig(particles=500, seed=42, threads=4), problem)
+        b = Swarm(RatsConfig(particles=500, seed=42), problem)
         sa, sb = a.initialize(), b.initialize()
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
@@ -217,7 +216,7 @@ class TestStep:
 
     def test_feasible_champion_displaces_an_infeasible_incumbent(self):
         problem = make_toy_problem()
-        swarm = Swarm(RatsConfig(particles=2, seed=1, tau_f=1e-4, inject_zero_strategy=False), problem)
+        swarm = Swarm(RatsConfig(particles=2, seed=1, tau_f=1e-4), problem)
         feed = [(np.array([1.0, 2.0]), np.array([False, False]))]
         swarm._evaluate = lambda positions, best=None: feed.pop(0)
         state = swarm.initialize()
@@ -250,7 +249,7 @@ class TestConcentration:
         assert swarm._concentration(state.best_position) == 1.0
 
     def test_fresh_swarm_has_negligible_concentration(self, reduced_problem):
-        swarm = Swarm(RatsConfig(particles=1000, seed=9, inject_zero_strategy=False), reduced_problem)
+        swarm = Swarm(RatsConfig(particles=1000, seed=9), reduced_problem)
         state = swarm.initialize()
         assert state.concentration <= 0.01
 
@@ -295,17 +294,6 @@ class TestRun:
         assert result.stop_reason is StopReason.STALL
         assert result.iterations <= 10
 
-    def test_identical_across_thread_counts(self, reduced_problem):
-        results = [
-            run(RatsConfig(particles=300, k_max=25, seed=23, threads=t), reduced_problem)
-            for t in (1, 4, 8)
-        ]
-        base = results[0]
-        for other in results[1:]:
-            assert np.array_equal(base.position, other.position)
-            assert base.fitness == other.fitness
-            assert [r[:4] for r in base.trajectory] == [r[:4] for r in other.trajectory]
-
     def test_per_particle_random_mode_runs_deterministically(self):
         problem = make_toy_problem()
         cfg = RatsConfig(particles=50, k_max=20, seed=29, random_mode=RandomMode.PER_PARTICLE)
@@ -320,21 +308,14 @@ class TestRun:
             result = run(RatsConfig(particles=30, seed=seed), reduced_problem)
             assert result.fitness == result.trajectory[-1][1]
 
-    def test_run_twice_with_threads(self):
-        swarm = Swarm(RatsConfig(particles=50, k_max=5, seed=41, threads=2), make_toy_problem())
+    def test_run_twice_counts_each_runs_evaluations(self):
+        swarm = Swarm(RatsConfig(particles=50, k_max=5, seed=41), make_toy_problem())
         first = swarm.run()
         second = swarm.run()
         assert first.iterations == second.iterations == 5
         # Each run counts only its own evaluations: the initial swarm plus one per step.
         for result in (first, second):
             assert result.evaluations == (result.iterations + 1) * 50
-
-    def test_stepping_without_run_starts_no_threads(self):
-        before = threading.active_count()
-        swarm = Swarm(RatsConfig(particles=50, seed=41, threads=2), make_toy_problem())
-        state = swarm.initialize()
-        swarm.step(state)
-        assert threading.active_count() <= before
 
     def test_breakdown_matches_reported_identity(self, reduced_problem):
         result = run(RatsConfig(particles=200, k_max=20, seed=31), reduced_problem)

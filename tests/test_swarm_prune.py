@@ -4,8 +4,8 @@
 A pruning step makes one ``BatchEvaluator.evaluate_pruned`` call, which
 scores in full only the rows whose ``subset_floor`` is below their personal
 best.  Pruning is exact, so trajectory, final position, fitness and stop
-reason must equal the reference's, for any thread count, and the evaluation
-count still counts every position.
+reason must equal the reference's, and the evaluation count still counts
+every position.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ TABLE1 = dict(particles=1000, k_max=50, k_max_stall=10**9, tau_p=0.999999)
 
 def assert_matches_reference(cfg: RatsConfig, problem: ProblemInstance) -> RatsResult:
     want = reference.full_scoring_swarm(cfg, problem)
-    for threads in (1, 2):
-        got = run(dataclasses.replace(cfg, threads=threads), problem)
-        assert [row[:4] for row in got.trajectory] == want["trajectory"]
-        assert np.array_equal(got.position, want["position"])
-        assert got.fitness == want["fitness"]
-        assert got.stop_reason is want["stop_reason"]
-        assert got.evaluations == want["evaluations"]
-        assert cfg.particles <= got.scored <= got.evaluations
+    got = run(cfg, problem)
+    assert [row[:4] for row in got.trajectory] == want["trajectory"]
+    assert np.array_equal(got.position, want["position"])
+    assert got.fitness == want["fitness"]
+    assert got.stop_reason is want["stop_reason"]
+    assert got.evaluations == want["evaluations"]
+    assert cfg.particles <= got.scored <= got.evaluations
     return got
 
 
