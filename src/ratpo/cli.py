@@ -10,10 +10,8 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -258,12 +256,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory(trajectory, path: Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "best_fitness", "concentration", "stall", "wall_seconds"])
-    for k, fit, chi, stall, wall in trajectory:
-        writer.writerow([k, repr(fit), repr(chi), stall, repr(wall)])
-    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    fileio.write_csv(path, [["iteration", "best_fitness", "concentration", "stall", "wall_seconds"]]
+                     + [[k, repr(fit), repr(chi), stall, repr(wall)] for k, fit, chi, stall, wall in trajectory])
 
 
 def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, baseline: EvalBreakdown,
@@ -299,12 +293,8 @@ def _write_result(result: swarm_mod.RatsResult, problem: ProblemInstance, baseli
 
     # The evaluator's own P&L row, so the column reproduces beta_var and mean_pnl bit for bit.
     total = problem.evaluator.evaluate(result.position[None, :])["pnl"][0]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "initial_pnl", "total_pnl"])
-    for i in range(problem.var_cfg.count):
-        writer.writerow([i + 1, repr(float(problem.init.pnl[i])), repr(float(total[i]))])
-    (out / "pnl_hist.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
+    fileio.write_csv(out / "pnl_hist.csv", [["scenario", "initial_pnl", "total_pnl"]] + [
+        [i + 1, repr(float(problem.init.pnl[i])), repr(float(total[i]))] for i in range(problem.var_cfg.count)])
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -340,15 +330,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["solution", "fitness", "count", "status", "truncated", "instrument_id", "notional"])
+    rows = [["solution", "fitness", "count", "status", "truncated", "instrument_id", "notional"]]
     for rank, position in enumerate(result.optimal_positions):
         strategy = problem.decode(position)
         head = [rank, repr(result.optimal_fitness), result.count, result.status, int(result.truncated)]
         for instrument_id, notional in strategy.legs or [("", 0)]:
-            writer.writerow(head + [instrument_id, notional])
-    (out / "oracle.csv").write_text(buf.getvalue(), encoding="utf-8", newline="")
+            rows.append(head + [instrument_id, notional])
+    fileio.write_csv(out / "oracle.csv", rows)
     print(f"oracle: optimum {result.optimal_fitness:.6f} over {result.count} positions "
           f"({result.feasible} feasible, {result.scored} scored, {len(result.optimal_positions)} optimal, "
           f"{result.wall_seconds:.2f}s)")
@@ -360,24 +348,32 @@ def derive_cell_seed(master: int, c_pers: float, c_soc: float, tau_g: float) -> 
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") & (2**63 - 1)
 
 
+#: Most values one ``--grid`` spec may give.  A sweep runs one swarm per cell
+#: of the product of its grids, so two axes at this cap are already a million
+#: runs; the cap stops a spec such as ``0:1:1e-12`` before it builds a list of
+#: 10^12 values, and a ``start + k * step`` that never passes ``stop`` (a
+#: step lost to rounding, as in ``1e300:1e300:1``) from looping forever.
+MAX_GRID_VALUES = 1_000
+
+
 def _parse_grid(text: str) -> tuple[str, list[float]]:
     try:
         name, spec = text.split("=", 1)
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
-        raise ConfigError(f"bad grid spec {text!r} (want name=start:stop:step)") from exc
+        raise ConfigError(f"--grid {text!r}: want name=start:stop:step") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"--grid {text!r}: start, stop and step must be finite")
     if step <= 0 or stop < start:
-        raise ConfigError(f"bad grid spec {text!r}")
+        raise ConfigError(f"--grid {text!r}: want step > 0 and stop >= start")
     values = []
-    k = 0
-    while True:
+    for k in range(MAX_GRID_VALUES + 1):
         v = round(start + k * step, 10)
         if v > stop + step / 2:
-            break
+            return name, values
         values.append(v)
-        k += 1
-    return name, values
+    raise ConfigError(f"--grid {text!r}: more than {MAX_GRID_VALUES} values")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -420,13 +416,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = [run_cell(c) for c in cells]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["c_pers", "c_soc", "tau_g", "fitness", "iterations", "wall_s",
-                     "stop_reason", "seed", "status"])
-    for cp, cs, tau, fit, iters, wall, reason, seed, status in rows:
-        writer.writerow([repr(cp), repr(cs), repr(tau), repr(fit), iters, repr(wall), reason, seed, status])
-    Path(args.out).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    fileio.write_csv(args.out, [["c_pers", "c_soc", "tau_g", "fitness", "iterations", "wall_s",
+                                 "stop_reason", "seed", "status"]] + [
+        [repr(cp), repr(cs), repr(tau), repr(fit), iters, repr(wall), reason, seed, status]
+        for cp, cs, tau, fit, iters, wall, reason, seed, status in rows])
 
     failures = [r for r in rows if r[-1] != "ok"]
     print(f"sweep: {len(rows)} cells -> {args.out} ({len(failures)} failed)")

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +47,13 @@ class SchemaError(ValueError):
 
 def _write_text(path: PathLike, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def write_csv(path: PathLike, rows: Iterable[Sequence]) -> None:
+    """Write ``rows``, the header first, as a UTF-8 CSV file with "\\n" line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _read_text(path: PathLike) -> str:
@@ -233,12 +240,7 @@ def load_market(path: PathLike) -> MarketData:
 
 
 def save_portfolio(portfolio: Portfolio, path: PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instrument_id", "notional"])
-    for instrument_id, notional in portfolio.legs:
-        writer.writerow([instrument_id, notional])
-    _write_text(path, buf.getvalue())
+    write_csv(path, [["instrument_id", "notional"], *portfolio.legs])
 
 
 def load_portfolio(path: PathLike) -> Portfolio:
@@ -269,20 +271,18 @@ def load_portfolio(path: PathLike) -> Portfolio:
 
 
 def save_scenarios(scenarios: ScenarioSet, path: PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header: list[str] = []
     for t in scenarios.tickers:
         header += [f"{t}_ret", f"{t}_volshift"]
     header += [f"{c}_rateshift" for c in scenarios.currencies]
-    writer.writerow(header)
+    rows = [header]
     for i in range(scenarios.count):
-        row: list[float] = []
+        row: list[str] = []
         for j in range(len(scenarios.tickers)):
             row += [repr(float(scenarios.spot_returns[i, j])), repr(float(scenarios.vol_shifts[i, j]))]
         row += [repr(float(scenarios.rate_shifts[i, j])) for j in range(len(scenarios.currencies))]
-        writer.writerow(row)
-    _write_text(path, buf.getvalue())
+        rows.append(row)
+    write_csv(path, rows)
 
 
 def load_scenarios(path: PathLike) -> ScenarioSet:
@@ -327,15 +327,10 @@ def load_scenarios(path: PathLike) -> ScenarioSet:
 
 
 def save_features(table: FeatureTable, path: PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    s = table.scenario_count
-    writer.writerow(["instrument_id", "value", "delta", "vega", "gamma", "unit_cost"]
-                    + [f"pnl_{i + 1}" for i in range(s)])
+    header = ["instrument_id", "value", "delta", "vega", "gamma", "unit_cost"]
+    rows = [header + [f"pnl_{i + 1}" for i in range(table.scenario_count)]]
     for instrument_id in table.ids():
         f = table[instrument_id]
-        writer.writerow(
-            [instrument_id, repr(f.value), repr(f.delta), repr(f.vega), repr(f.gamma), repr(f.unit_cost)]
-            + [repr(float(x)) for x in f.pnl]
-        )
-    _write_text(path, buf.getvalue())
+        rows.append([instrument_id, repr(f.value), repr(f.delta), repr(f.vega), repr(f.gamma), repr(f.unit_cost)]
+                    + [repr(float(x)) for x in f.pnl])
+    write_csv(path, rows)

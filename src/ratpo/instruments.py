@@ -278,10 +278,6 @@ class Portfolio:
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "Portfolio":
         return cls(tuple((str(i), int(n)) for i, n in pairs))
 
-    @classmethod
-    def empty(cls) -> "Portfolio":
-        return cls(())
-
     def merged(self) -> "Portfolio":
         """Sum duplicate ids and drop zero-notional legs, preserving first-seen order."""
         totals: dict[str, int] = {}
@@ -291,9 +287,6 @@ class Portfolio:
 
     def __len__(self) -> int:
         return len(self.legs)
-
-    def __add__(self, other: "Portfolio") -> "Portfolio":
-        return Portfolio(self.legs + other.legs)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,15 @@ def decode(x: Sequence[int], structure: EosStructure, universe_ids: Sequence[str
     return Portfolio(tuple(structure.legs(x, universe_ids))).merged()
 
 
+def merge_picks(i_a, n_a, i_b, n_b) -> tuple[np.ndarray, np.ndarray]:
+    """Notionals of two slots that share an index range, duplicate picks
+    merged as :func:`decode` merges them: where ``i_a == i_b`` the first slot
+    carries ``n_a + n_b`` (exact: grid notionals are integers) and the second
+    0.  The arguments broadcast."""
+    same = np.equal(i_a, i_b)
+    return np.where(same, n_a + n_b, n_a), np.where(same, 0.0, n_b)
+
+
 # ---------------------------------------------------------------------------
 # Constraints and fitness
 # ---------------------------------------------------------------------------
@@ -389,14 +398,16 @@ class BatchEvaluator:
     followed by three zeros.  A batch of p positions becomes a (p, U + 1)
     CSR matrix built straight from ``(data, indices, indptr)``: row r holds
     the initial book (index U, coefficient 1) and then one entry per slot,
-    in slot order, with the slot's notional as coefficient.  Duplicate picks
-    stay separate entries and the matrix is never canonicalized, so
-    ``csr @ features`` accumulates every row as
-    ``((0 + init) + n_1 f_1) + ... + n_m f_m``, slot by slot, exactly like a
-    per-slot loop.  That makes each row's numbers independent of the batch it
-    arrived in, so a caller may split or subset a batch and get the same
-    bytes.  A dense product (one-hot matrix times ``features``) is not used:
-    BLAS gives no row-wise summation-order guarantee.
+    in slot order, with the slot's notional as coefficient.  The notionals
+    are merged (:func:`merge_picks`): where the two slots of a shared range
+    pick one instrument, the first entry carries both notionals and the
+    second 0, so the row scores the strategy :func:`decode` returns.  The
+    matrix is never canonicalized, so ``csr @ features`` accumulates every
+    row as ``((0 + init) + n_1 f_1) + ... + n_m f_m``, slot by slot, exactly
+    like a per-slot loop.  That makes each row's numbers independent of the
+    batch it arrived in, so a caller may split or subset a batch and get the
+    same bytes.  A dense product (one-hot matrix times ``features``) is not
+    used: BLAS gives no row-wise summation-order guarantee.
 
     The public calls share private steps: :meth:`_decode` checks a batch and
     decodes it into slot rows, notionals and trading cost; :meth:`_score` is
@@ -431,7 +442,10 @@ class BatchEvaluator:
         self._divisors = np.where(self._limits > 0.0, self._limits, 1.0)
         self._zero_limits = np.flatnonzero(self._limits == 0.0)
         self._penalties = np.array(problem.constraints.penalties)
-        self._groups = structure.range_groups()
+        groups = structure.range_groups()
+        # The slot pairs that share a range (merge_picks), and each group's first slot (the cost sum).
+        self._pair_a, self._pair_b = np.array([g for g in groups if len(g) == 2], dtype=np.intp).reshape(-1, 2).T
+        self._group_heads = [g[0] for g in groups]
 
     @cached_property
     def _pnl_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -506,8 +520,9 @@ class BatchEvaluator:
         fastest.
 
         Nothing is decoded and no CSR is built.  Slot j enters a Greek sum
-        only through its two entries, so its terms form a small table
-        ``notional grid x (Delta, Vega, Gamma)`` over its index range.  The
+        only through its two entries and, through :func:`merge_picks`, those
+        of the slot that shares its range, so its terms form a small table
+        ``merged notional x (Delta, Vega, Gamma)`` over those entries.  The
         tables are added to zeros by broadcasting, in slot order: the same
         multiplies and adds, in the same order, as :meth:`evaluate`'s CSR row
         ``((0 + 1 * 0) + n_1 g_1) + ...`` (the initial book's row carries no
@@ -554,9 +569,14 @@ class BatchEvaluator:
             """``a`` made full over the trailing grid entries, as one axis."""
             return np.broadcast_to(a, a.shape[:block] + grid).copy().reshape(a.shape[:block] + (width,))
 
+        # Each slot's notionals, duplicate picks merged as _slots merges them.
+        notional = [self._grids[j, entry(self.m + j)] for j in range(self.m)]
+        for a, b in zip(self._pair_a, self._pair_b):
+            notional[a], notional[b] = merge_picks(entry(a), notional[a], entry(b), notional[b])
+
         def term(j: int) -> np.ndarray:
             """Slot j's terms ``n_j g_j``, Greek axis first."""
-            return self._grids[j, entry(self.m + j)] * self._greeks[:, entry(j) - 1]
+            return notional[j] * self._greeks[:, entry(j) - 1]
 
         # The zeros carry the prefix axis even when no entry lies on it (k = 0).
         sums = np.zeros((3, q) + (1,) * (ndim - 1))
@@ -572,8 +592,13 @@ class BatchEvaluator:
         return mask
 
     def _slots(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A checked (p, 2m) batch -> (p, m) 0-based instrument rows and notionals."""
-        return positions[:, :self.m] - 1, self._grids.take(positions[:, self.m:] + self._grid_offsets)
+        """A checked (p, 2m) batch -> (p, m) 0-based instrument rows and
+        notionals, duplicate picks merged (:func:`merge_picks`)."""
+        idx = positions[:, :self.m] - 1
+        notion = self._grids.take(positions[:, self.m:] + self._grid_offsets)
+        a, b = self._pair_a, self._pair_b
+        notion[:, a], notion[:, b] = merge_picks(idx[:, a], notion[:, a], idx[:, b], notion[:, b])
+        return idx, notion
 
     def _weights(self, idx: np.ndarray, notion: np.ndarray) -> sparse.csr_array:
         """The batch's (p, U + 1) CSR weights: the initial book, then one entry
@@ -589,26 +614,19 @@ class BatchEvaluator:
         return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(p, self._init_row + 1))
 
     def _trading_cost(self, idx: np.ndarray, notion: np.ndarray) -> np.ndarray:
-        """Per-row trading cost, the one cost rule of :meth:`evaluate` and of
-        both floors.
+        """Per-row trading cost of merged notionals (:meth:`_slots`), the one
+        cost rule of :meth:`evaluate` and of both floors: each slot's unit
+        cost times its absolute notional, summed within each range group and
+        then over the groups, in group order.
 
-        Cost is the one non-linear feature: duplicate instrument picks must
-        be merged before taking absolute notionals.  Duplicates can only
-        occur between slots sharing an index range, and EosStructure allows
-        at most two slots per range.
+        Cost is the one non-linear feature, so it is taken only after the
+        merge: a merged pair's second slot carries 0 and adds nothing.
         """
+        terms = self._cost[idx] * np.abs(notion)
+        terms[:, self._pair_a] += terms[:, self._pair_b]
         cost = np.zeros(idx.shape[0])
-        for group in self._groups:
-            if len(group) == 1:
-                j = group[0]
-                cost += self._cost[idx[:, j]] * np.abs(notion[:, j])
-            else:
-                j1, j2 = group
-                i1, i2 = idx[:, j1], idx[:, j2]
-                n1, n2 = notion[:, j1], notion[:, j2]
-                merged = self._cost[i1] * np.abs(n1 + n2)
-                split = self._cost[i1] * np.abs(n1) + self._cost[i2] * np.abs(n2)
-                cost += np.where(i1 == i2, merged, split)
+        for j in self._group_heads:
+            cost += terms[:, j]
         return cost
 
     def _penalty(self, psi: np.ndarray) -> np.ndarray:
@@ -629,8 +647,9 @@ class BatchEvaluator:
 
     def _slack(self, size: np.ndarray) -> np.ndarray:
         """The rounding slack of both floors' linear sums: ``2(m + S + 8)``
-        machine epsilons of ``size``, a bound on the magnitude of every P&L
-        entry and every partial sum of the row (duplicate picks included).
+        machine epsilons of ``size = max|init| + sum_j |n_j| max|f_j|``.  The
+        merged notionals ``n_j`` (:meth:`_slots`) are exact and are the row's
+        coefficients, so ``size`` bounds every P&L entry and partial sum.
 
         A P&L entry carries at most 2(m + 1) roundings, its mean S + 1 more, a
         table mean S + 1 and a floor's linear sum 2m + 2, each at most half an
@@ -679,7 +698,7 @@ class BatchEvaluator:
         a (p, 2m) int position matrix, with no P&L row built.
 
         From per-instrument tables of the scenario P&L, in a loop over the
-        slots:
+        slots with their merged notionals ``n_j`` (:meth:`_slots`):
 
         - mean: the linear sum ``mean(init) + sum_j n_j mean(f_j)``, plus
           :meth:`_slack` on ``max|init| + sum_j |n_j| max|f_j|``;

@@ -36,6 +36,7 @@ once per step, for the evaluator.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,13 +60,15 @@ def round_to_bounds(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 
     With every lower bound >= 0 this is the clipped rounding half away from
     zero: ``floor(y + 0.5)`` differs from it only at ``y < 0``, where both
-    are <= 0 and clip to the lower bound.
+    are <= 0 and clip to the lower bound.  A NaN goes to the lower bound.
     """
     np.add(values, 0.5, out=values)
     np.floor(values, out=values)
-    # np.clip with per-column bounds takes about half as long again.
-    np.maximum(values, lower, out=values)
-    return np.minimum(values, upper, out=values)
+    # fmax/fmin put a NaN on the lower bound and +-inf on a bound, so a move
+    # that overflowed still lands in the box.  np.clip with per-column bounds
+    # takes about half as long again.
+    np.fmax(values, lower, out=values)
+    return np.fmin(values, upper, out=values)
 
 
 class RandomMode(str, Enum):
@@ -97,8 +100,13 @@ class RatsConfig:
     def __post_init__(self) -> None:
         if self.particles < 1:
             raise ValueError("need at least one particle")
+        for name in ("c_pers", "c_soc", "v_min", "v_max", "w_min", "w_max", "tau_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_min >= self.v_max:
             raise ValueError("v_min must be below v_max")
+        if not math.isfinite(self.v_max - self.v_min):
+            raise ValueError("v_max - v_min must be finite: the initial velocities are drawn from that range")
         if self.w_min > self.w_max:
             raise ValueError("w_min must not exceed w_max")
         if self.tau_f <= 0:
@@ -267,15 +275,18 @@ class Swarm:
         #   x = round_to_bounds(x + v, lower, upper)
         # with the same operations in the same order, so the same bytes.  The
         # positions are small integers, exact as floats.
+        # A velocity may overflow (large coefficients, or an inertia above 1
+        # over many steps); round_to_bounds then puts the move on a bound.
         v, work, x = self.velocities, self._work, self._x
-        np.multiply(v, state.inertia, out=v)
-        np.subtract(self._best_x, x, out=work)
-        np.multiply(cfg.c_pers * r1, work, out=work)
-        np.add(v, work, out=v)
-        np.subtract(state.best_position.astype(float)[None, :], x, out=work)
-        np.multiply(cfg.c_soc * r2, work, out=work)
-        np.add(v, work, out=v)
-        np.add(x, v, out=x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(v, state.inertia, out=v)
+            np.subtract(self._best_x, x, out=work)
+            np.multiply(cfg.c_pers * r1, work, out=work)
+            np.add(v, work, out=v)
+            np.subtract(state.best_position.astype(float)[None, :], x, out=work)
+            np.multiply(cfg.c_soc * r2, work, out=work)
+            np.add(v, work, out=v)
+            np.add(x, v, out=x)
         round_to_bounds(x, self._lower, self._upper)
         self.positions[...] = x
 

@@ -12,7 +12,8 @@ applies the objective, the normalized violations and the penalty term one
 scalar at a time, so it shares no arithmetic with ``ratpo.problem``.
 
 :func:`slot_loop_evaluate` is the batch evaluator as it was before the sparse
-product: the P&L and the Greeks accumulate in a Python loop over slots.  Its
+product: the P&L and the Greeks accumulate in a Python loop over slots, after
+a loop over the shared-range slot pairs merges duplicate picks.  Its
 summation order is the one the sparse product must keep, so tests compare
 the two byte for byte.
 
@@ -218,6 +219,14 @@ def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[
     p = positions.shape[0]
     idx = positions[:, :m] - 1
     notion = grids[np.arange(m), positions[:, m:]]
+    # Where the two slots of a shared range pick one instrument, the first
+    # holds the merged notional and the second none, as ``decode`` merges them.
+    for group in structure.range_groups():
+        if len(group) == 2:
+            j1, j2 = group
+            same = idx[:, j1] == idx[:, j2]
+            notion[same, j1] += notion[same, j2]
+            notion[same, j2] = 0.0
 
     total_pnl = np.repeat(problem.init.pnl[None, :], p, axis=0)
     buf = np.empty_like(total_pnl)
@@ -235,16 +244,7 @@ def slot_loop_evaluate(problem: ProblemInstance, positions: np.ndarray) -> dict[
 
     cost = np.zeros(p)
     for group in structure.range_groups():
-        if len(group) == 1:
-            j = group[0]
-            cost += cost_table[idx[:, j]] * np.abs(notion[:, j])
-        else:
-            j1, j2 = group
-            i1, i2 = idx[:, j1], idx[:, j2]
-            n1, n2 = notion[:, j1], notion[:, j2]
-            merged = cost_table[i1] * np.abs(n1 + n2)
-            split = cost_table[i1] * np.abs(n1) + cost_table[i2] * np.abs(n2)
-            cost += np.where(i1 == i2, merged, split)
+        cost += sum(cost_table[idx[:, j]] * np.abs(notion[:, j]) for j in group)
 
     mean = total_pnl.mean(axis=1)
     if rank == 1:
@@ -322,18 +322,16 @@ def slice_positions(problem: ProblemInstance, prefixes: np.ndarray) -> np.ndarra
 
 def one_product_subset_floor(evaluator: BatchEvaluator, positions: np.ndarray) -> np.ndarray:
     """``evaluator.subset_floor(positions)`` from one product with every
-    narrow column, over the evaluator's scenarios K.  Positions must be in
-    bounds."""
+    narrow column, over the evaluator's scenarios K."""
     ev, problem = evaluator, evaluator.problem
     s = problem.var_cfg.count
     features = np.column_stack([ev._features[:, ev._bound_scenarios], ev._pnl_tables[0], ev._features[:, s:]])
-    idx, notion = ev._slots(np.asarray(positions))
+    idx, notion, cost = ev._decode(positions)
     k = ev._bound_scenarios.size
     linear = ev._weights(idx, notion) @ features
     var_hi = ev._rank_statistic(linear[:, :k])
     pnl_abs = ev._pnl_tables[3]
     size = pnl_abs[-1] + (np.abs(notion) * pnl_abs[idx]).sum(axis=1)
-    cost = ev._trading_cost(idx, notion)
     mean_hi, u_lo = linear[:, k] + ev._slack(size), cost - var_hi
     a_lo = (problem.pnl_rf - mean_hi) + cost
     floor = np.full(a_lo.shape, -np.inf)

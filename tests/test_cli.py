@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import shutil
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratpo.cli import build_problem, derive_cell_seed, load_problem_config, main
 from ratpo.oracle import enumerate_space
@@ -149,6 +153,12 @@ class TestBadInputFiles:
             assert f"{culprit}: {ticker}: no vol" in err
 
 
+#: rats.json's float fields, and int fields given float values (a type error).
+RATS_FLOATS = ["c_pers", "c_soc", "v_min", "v_max", "w_min", "w_max", "tau_f", "tau_p"]
+RATS_INTS = ["particles", "k_max", "k_max_stall", "seed"]
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 0.0]
+
+
 class TestBadConfigs:
     @pytest.mark.parametrize("payload", [
         {"beta": "x"}, {"grid_points": "9"}, {"beta": 2}, {"tau_g": -1}, {"daycount": 300},
@@ -164,7 +174,9 @@ class TestBadConfigs:
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [{"random_mode": "bogus"}, {"particles": 0}, {"seed": -1},
-                                         {"particles": 2.5}, {"inject_zero_strategy": False}])
+                                         {"particles": 2.5}, {"inject_zero_strategy": False},
+                                         {"c_pers": math.nan}, {"w_min": math.nan}, {"v_min": -math.inf},
+                                         {"tau_f": math.inf}, {"v_min": -1e308, "v_max": 1e308}])
     def test_rats_config_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, payload):
         problem, _ = configs
         path = write_json(tmp_path / "rats.json", payload)
@@ -172,6 +184,28 @@ class TestBadConfigs:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert path in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(RATS_FLOATS + RATS_INTS), st.sampled_from(EXTREMES) | st.floats(),
+                           max_size=2))
+    def test_rats_config_numbers_exit_2_or_stay_in_bounds(self, data_dir, configs, tmp_path_factory, payload):
+        """NaN, +-inf, huge and tiny numbers in rats.json: a run either exits 2
+        naming the file, or exits 0 with every position it evaluated in bounds
+        (the evaluator rejects any other batch) and a final position in bounds."""
+        problem, _ = configs
+        out = tmp_path_factory.mktemp("extreme")
+        path = write_json(out / "rats.json", {"particles": 12, "k_max": 6, "seed": 1, **payload})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["optimize", "--data-dir", str(data_dir), "--problem", problem, "--rats", path,
+                         "--out", str(out / "run")])
+        if code == 2:
+            assert path in err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        result = json.loads((out / "run" / "result.json").read_text())
+        lo, hi = build_problem(str(data_dir), load_problem_config(problem)).structure.position_bounds()
+        assert np.all((lo <= result["position"]) & (result["position"] <= hi))
 
     @pytest.mark.parametrize("command, extra", [
         ("sweep", ["--grid", "c_pers=1:1:1", "c_soc=1:1:1"]), ("oracle", ["--budget", "10"]), ("optimize", []),
@@ -480,6 +514,27 @@ class TestSweep:
                      "--rats", rats, "--grid", "c_pers=banana",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        "c_pers=banana", "c_pers=nan:1:0.1", "c_pers=0.1:1.9:nan", "c_pers=0:inf:1", "c_pers=-inf:1:0.1",
+        "c_pers=0:1:1e-12", "c_pers=1e300:1e300:1", "c_pers=0:1001:1",
+    ])
+    def test_runaway_grid_spec_exit_2_names_the_flag(self, data_dir, configs, tmp_path, capsys, spec):
+        problem, rats = configs
+        code = main(["sweep", "--data-dir", str(data_dir), "--problem", problem,
+                     "--rats", rats, "--grid", spec,
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_grid_values(self):
+        from ratpo.cli import MAX_GRID_VALUES, _parse_grid
+
+        assert _parse_grid("c_pers=0.4:1.6:0.4") == ("c_pers", [0.4, 0.8, 1.2, 1.6])
+        name, values = _parse_grid("c_soc=0.1:1.9:0.1")
+        assert name == "c_soc" and values == [k / 10 for k in range(1, 20)]
+        assert len(_parse_grid(f"c_pers=1:{MAX_GRID_VALUES}:1")[1]) == MAX_GRID_VALUES
 
     def test_failed_cell_marks_row_and_exit_3(self, data_dir, configs, tmp_path, monkeypatch):
         import ratpo.cli as cli_mod

@@ -70,6 +70,28 @@ def test_rows_do_not_depend_on_the_batch(table1_problem):
         assert_same_bytes(alone, {key: full[key][i:i + 1] for key in KEYS})
 
 
+@pytest.mark.parametrize("instance", ["table1_problem", "reduced_problem"])
+def test_cancelling_picks_score_as_empty_picks(instance, request):
+    """Both option slots on one instrument, at notionals n and -n, hold no
+    position: every key, the P&L row included, carries the bytes of the same
+    row with both notionals at 0."""
+    problem = request.getfixturevalue(instance)
+    m, structure = problem.structure.m, problem.structure
+    X = random_rows(problem, 500, seed=28)
+    zero = X.copy()
+    empty = problem.empty_position()
+    for j in range(0, m, 3):
+        X[:, j + 1] = zero[:, j + 1] = X[:, j]
+        # The grids are symmetric: index g holds n and index len - 1 - g holds -n.
+        X[:, m + j + 1] = len(structure.slots[j + 1].grid) - 1 - X[:, m + j]
+        zero[:, [m + j, m + j + 1]] = empty[[m + j, m + j + 1]]
+    grids = structure.grid_matrix()
+    assert (grids[np.arange(m), X[:, m:]][:, 0:m:3] != 0).any()
+    ev = problem.evaluator
+    assert_same_bytes(ev.evaluate(X), ev.evaluate(zero))
+    assert ev.feasible_slice(X).tobytes() == ev.feasible_slice(zero).tobytes()
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_feasible_slice_matches_evaluate(table1_problem, tau):
     """The Greek screen's mask carries the bytes of the full evaluation's, on

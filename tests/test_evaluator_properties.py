@@ -96,6 +96,12 @@ def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def picks_coincide(problem: ProblemInstance, rows: np.ndarray) -> np.ndarray:
+    """The rows whose two option slots pick one instrument in every triplet."""
+    m = problem.structure.m
+    return np.all(rows[:, 0:m:3] == rows[:, 1:m:3], axis=1)
+
+
 def swap_option_slots(problem: ProblemInstance, rows: np.ndarray) -> np.ndarray:
     m = problem.structure.m
     out = rows.copy()
@@ -106,6 +112,9 @@ def swap_option_slots(problem: ProblemInstance, rows: np.ndarray) -> np.ndarray:
 
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+#: The ``evaluate`` keys that swapping the option slots leaves byte-identical
+#: on rows whose option slots pick one instrument.
+SWAP_KEYS = ("fitness", "objective", "mean", "var", "cost", "psi", "feasible", "pnl")
 
 
 @SETTINGS
@@ -161,6 +170,11 @@ def test_swapping_option_slots_keeps_fitness(problem, seed):
     b = problem.evaluator.evaluate(swap_option_slots(problem, rows))
     assert np.array_equal(a["feasible"], b["feasible"])
     assert ulps_apart(a["fitness"], b["fitness"]).max() <= 4
+    # Merged picks hold n_1 + n_2 = n_2 + n_1 in the first slot: nothing moves.
+    same = picks_coincide(problem, rows)
+    assert same.any()
+    for key in SWAP_KEYS:
+        assert a[key][same].tobytes() == b[key][same].tobytes(), key
 
 
 def test_swapping_option_slots_on_generated_instance(reduced_problem):
@@ -172,6 +186,10 @@ def test_swapping_option_slots_on_generated_instance(reduced_problem):
     assert np.array_equal(a["feasible"], b["feasible"])
     # Swapping reorders two terms of every P&L sum; these rows move by at most 5 ULPs.
     assert ulps_apart(a["fitness"], b["fitness"]).max() <= 8
+    same = picks_coincide(reduced_problem, rows)
+    assert same.sum() > ROWS // 2
+    for key in SWAP_KEYS:
+        assert a[key][same].tobytes() == b[key][same].tobytes(), key
 
 
 @SETTINGS

@@ -146,7 +146,7 @@ class TestAggregate:
         table = self.build_table()
         p = Portfolio.from_pairs([("a", 2), ("b", -1)])
         h = Portfolio.from_pairs([("a", -5), ("b", 4)])
-        combined = aggregate(table, p + h)
+        combined = aggregate(table, Portfolio(p.legs + h.legs))
         separate = add_features(aggregate(table, p), aggregate(table, h))
         assert combined.value == pytest.approx(separate.value, rel=1e-15)
         assert combined.cost == pytest.approx(separate.cost, rel=1e-15)

@@ -57,8 +57,11 @@ class TestEnumeration:
         for problem in (make_toy_problem(tau=0.0), reduced):
             result = enumerate_space(problem, budget=10**6)
             assert result.status == "optimal" and np.isfinite(result.optimal_fitness)
-            empty = problem.empty_position().tolist()
-            assert empty in [p.tolist() for p in result.optimal_positions]
+            empty = problem.empty_position()
+            assert empty.tolist() in [p.tolist() for p in result.optimal_positions]
+            # A position that cancels out, such as one call bought and sold
+            # again, scores as the empty strategy and not a few ULPs below it.
+            assert result.optimal_fitness == problem.evaluate(empty).fitness
 
     def test_budget_exceeded(self, toy_problem):
         with pytest.raises(BudgetExceeded):

@@ -63,6 +63,11 @@ class TestRounding:
         upper = np.array([max(a, b) for _, a, b in rows], dtype=float)
         self.assert_step_rounding_matches(values, lower, upper)
 
+    def test_overflowed_moves_land_on_the_bounds(self):
+        values = np.array([np.nan, np.inf, -np.inf, np.nan])
+        lower, upper = np.array([1.0, 1.0, 1.0, 0.0]), np.array([12.0, 12.0, 12.0, 8.0])
+        assert round_to_bounds(values, lower, upper).tolist() == [1.0, 12.0, 1.0, 0.0]
+
 
 class TestConfigValidation:
     def test_rejects_bad_ranges(self):
@@ -74,6 +79,24 @@ class TestConfigValidation:
             RatsConfig(tau_f=0.0)
         with pytest.raises(ValueError):
             RatsConfig(particles=0)
+
+    @pytest.mark.parametrize("name", ["c_pers", "c_soc", "v_min", "v_max", "w_min", "w_max", "tau_f"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RatsConfig(**{name: value})
+
+    def test_rejects_a_velocity_range_that_overflows(self):
+        with pytest.raises(ValueError, match="v_max - v_min"):
+            RatsConfig(v_min=-1e308, v_max=1e308)
+
+    def test_overflowing_velocities_keep_positions_in_bounds(self):
+        problem = make_toy_problem()
+        lo, hi = problem.structure.position_bounds()
+        result = run(RatsConfig(particles=20, c_soc=1e308, w_min=3.0, w_max=3.0, k_max=40,
+                                k_max_stall=10**6, tau_p=0.999, seed=2), problem)
+        assert result.iterations == 40
+        assert np.all((lo <= result.position) & (result.position <= hi))
 
 
 class TestInitialization:
