@@ -343,16 +343,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed_digits(value: float) -> str:
+    """A sweep value as the cell seed reads it: 10 significant digits."""
+    return f"{value:.10g}"
+
+
 def derive_cell_seed(master: int, c_pers: float, c_soc: float, tau_g: float) -> int:
-    key = f"{master}|{c_pers:.10g}|{c_soc:.10g}|{tau_g:.10g}".encode()
+    key = f"{master}|{_seed_digits(c_pers)}|{_seed_digits(c_soc)}|{_seed_digits(tau_g)}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") & (2**63 - 1)
 
 
 #: Most values one ``--grid`` spec may give.  A sweep runs one swarm per cell
 #: of the product of its grids, so two axes at this cap are already a million
 #: runs; the cap stops a spec such as ``0:1:1e-12`` before it builds a list of
-#: 10^12 values, and a ``start + k * step`` that never passes ``stop`` (a
-#: step lost to rounding, as in ``1e300:1e300:1``) from looping forever.
+#: 10^12 values.
 MAX_GRID_VALUES = 1_000
 
 
@@ -369,9 +373,15 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
         raise ConfigError(f"--grid {text!r}: want step > 0 and stop >= start")
     values = []
     for k in range(MAX_GRID_VALUES + 1):
-        v = round(start + k * step, 10)
+        # Rounded to the digits of the cell seed, so two cells never share one.
+        # A step lost to that rounding, or to the sum itself as in
+        # 1e300:1e300:1, repeats a value.
+        v = float(_seed_digits(start + k * step))
         if v > stop + step / 2:
             return name, values
+        if values and v == values[-1]:
+            raise ConfigError(f"--grid {text!r}: the step repeats the value {_seed_digits(v)} "
+                              f"at 10 significant digits")
         values.append(v)
     raise ConfigError(f"--grid {text!r}: more than {MAX_GRID_VALUES} values")
 
@@ -390,6 +400,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     problem = build_problem(args.data_dir, pcfg)
     try:
         taus = [float(t) for t in args.tau_g.split(",")] if args.tau_g else [pcfg.tau_delta]
+        if len(set(map(_seed_digits, taus))) < len(taus):
+            raise ValueError("a value repeats at the 10 significant digits of the cell seeds")
         limits = {tau: dataclasses.replace(problem.constraints, tau_delta=tau, tau_vega=tau, tau_gamma=tau)
                   for tau in taus}
     except ValueError as exc:

@@ -62,6 +62,18 @@ class NonFiniteFeatures(FeatureError):
         self.row = row
 
 
+def _check_features(value: float, pnl: np.ndarray, delta: float, vega: float, gamma: float,
+                    unit_cost: float) -> None:
+    """Raise the error of the first feature at fault, in the order the fields are declared."""
+    if unit_cost < 0:
+        raise FeatureError(f"unit cost must be non-negative, got {unit_cost}")
+    if not all(map(math.isfinite, (value, delta, vega, gamma, unit_cost))):
+        raise NonFiniteFeatures(None)
+    finite = np.isfinite(pnl)
+    if not finite.all():
+        raise NonFiniteFeatures(int(np.argmin(finite)) + 1)
+
+
 @dataclass(frozen=True)
 class InstrumentFeatures:
     """Per-unit-notional features of a single instrument."""
@@ -75,14 +87,7 @@ class InstrumentFeatures:
 
     def __post_init__(self) -> None:
         self.pnl.setflags(write=False)
-        if self.unit_cost < 0:
-            raise FeatureError(f"unit cost must be non-negative, got {self.unit_cost}")
-        scalars = (self.value, self.delta, self.vega, self.gamma, self.unit_cost)
-        if not all(map(math.isfinite, scalars)):
-            raise NonFiniteFeatures(None)
-        finite = np.isfinite(self.pnl)
-        if not finite.all():
-            raise NonFiniteFeatures(int(np.argmin(finite)) + 1)
+        _check_features(self.value, self.pnl, self.delta, self.vega, self.gamma, self.unit_cost)
 
 
 @dataclass(frozen=True)
@@ -108,38 +113,65 @@ class _Resolved(NamedTuple):
     base: PricingInputs
 
 
+#: The scalar features of an instrument, in :class:`InstrumentFeatures` order.
+_SCALARS = ("value", "delta", "vega", "gamma", "unit_cost")
+
+
 class FeatureTable:
-    """Ordered, immutable map instrument id -> features."""
+    """Ordered, immutable map instrument id -> features.
+
+    The features are held by column: one read-only (n, S) block whose row i
+    is the scenario P&L of the i-th id, and one read-only array each of the
+    values, Deltas, Vegas, Gammas and unit costs.  Indexing builds the id's
+    :class:`InstrumentFeatures` from its row; :meth:`arrays` reads rows.
+    """
 
     def __init__(self, entries: Mapping[str, InstrumentFeatures], scenario_count: int):
-        self._entries = dict(entries)
-        self.scenario_count = scenario_count
+        feats = list(entries.values())
+        pnl = np.array([f.pnl for f in feats], dtype=float).reshape(len(feats), scenario_count)
+        self._adopt(list(entries), pnl, np.array([[getattr(f, name) for f in feats] for name in _SCALARS], float))
 
-    def __getitem__(self, instrument_id: str) -> InstrumentFeatures:
+    @classmethod
+    def _of_block(cls, ids: Sequence[str], pnl: np.ndarray, scalars: np.ndarray) -> "FeatureTable":
+        """The table of ``ids`` over a P&L block and a (5, n) array of the
+        ``_SCALARS`` rows, both taken over without a copy."""
+        table = cls.__new__(cls)
+        table._adopt(ids, pnl, scalars)
+        return table
+
+    def _adopt(self, ids: Sequence[str], pnl: np.ndarray, scalars: np.ndarray) -> None:
+        self._rows = {instrument_id: k for k, instrument_id in enumerate(ids)}
+        self.scenario_count = pnl.shape[1]
+        pnl.setflags(write=False)
+        scalars.setflags(write=False)
+        self._pnl = pnl
+        self._value, self._delta, self._vega, self._gamma, self._cost = scalars
+
+    def _row(self, instrument_id: str) -> int:
         try:
-            return self._entries[instrument_id]
+            return self._rows[instrument_id]
         except KeyError:
             raise FeatureError(f"instrument {instrument_id!r} not in feature table") from None
 
+    def __getitem__(self, instrument_id: str) -> InstrumentFeatures:
+        k = self._row(instrument_id)
+        return InstrumentFeatures(float(self._value[k]), self._pnl[k], float(self._delta[k]),
+                                  float(self._vega[k]), float(self._gamma[k]), float(self._cost[k]))
+
     def __contains__(self, instrument_id: str) -> bool:
-        return instrument_id in self._entries
+        return instrument_id in self._rows
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def ids(self) -> list[str]:
-        return list(self._entries)
+        return list(self._rows)
 
     def arrays(self, ids: Sequence[str]) -> dict[str, np.ndarray]:
-        """Column-stack features for the given ids (used by the batch evaluator)."""
-        feats = [self[i] for i in ids]
-        return {
-            "pnl": np.stack([f.pnl for f in feats]) if feats else np.zeros((0, self.scenario_count)),
-            "delta": np.array([f.delta for f in feats]),
-            "vega": np.array([f.vega for f in feats]),
-            "gamma": np.array([f.gamma for f in feats]),
-            "cost": np.array([f.unit_cost for f in feats]),
-        }
+        """The features of the given ids, row k for ``ids[k]`` (used by the batch evaluator)."""
+        rows = np.fromiter((self._row(i) for i in ids), dtype=np.intp, count=len(ids))
+        return {"pnl": self._pnl[rows], "delta": self._delta[rows], "vega": self._vega[rows],
+                "gamma": self._gamma[rows], "cost": self._cost[rows]}
 
 
 def aggregate(table: FeatureTable, portfolio: Portfolio) -> PortfolioFeatures:
@@ -191,11 +223,15 @@ class FeatureLab:
 
     # -- id resolution ------------------------------------------------------
 
-    def _resolve(self, instrument_id: str) -> tuple[str, Kind, Optional[float], Optional[int], Exercise,
-                                                    Optional[float], float]:
-        """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct, vol)."""
-        if is_uei_id(instrument_id):
-            d = parse_descriptor_id(instrument_id)
+    def _resolve(self, instrument_id: str, descriptor: Optional[UeiDescriptor] = None) -> tuple[
+            str, Kind, Optional[float], Optional[int], Exercise, Optional[float], float]:
+        """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct, vol).
+
+        A universe instrument may come with its ``descriptor``, which then
+        stands for its parsed id.
+        """
+        if descriptor is not None or is_uei_id(instrument_id):
+            d = parse_descriptor_id(instrument_id) if descriptor is None else descriptor
             if d.underlying_pos > len(self.specs):
                 raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
             ticker = self.specs[d.underlying_pos - 1].ticker
@@ -230,8 +266,8 @@ class FeatureLab:
 
     # -- features -----------------------------------------------------------
 
-    def _resolved(self, instrument_id: str) -> _Resolved:
-        ticker, kind, strike_abs, tenor_days, exercise, strike_pct, vol = self._resolve(instrument_id)
+    def _resolved(self, instrument_id: str, descriptor: Optional[UeiDescriptor] = None) -> _Resolved:
+        ticker, kind, strike_abs, tenor_days, exercise, strike_pct, vol = self._resolve(instrument_id, descriptor)
         u = self.market.underlying(ticker)
         rate = self.market.rate_for(ticker)
         tau = 0.0 if tenor_days is None else tenor_days / self.day_count
@@ -241,10 +277,12 @@ class FeatureLab:
         ).pinned()
         return _Resolved(instrument_id, ticker, u, strike_pct, base)
 
-    def _features(self, chunk: Sequence[_Resolved]) -> dict[str, InstrumentFeatures]:
-        """Features of a chunk of resolved instruments.  Each pricer runs once,
-        on the bump states and then the scenarios of every instrument it
-        prices."""
+    def _features(self, chunk: Sequence[_Resolved], pnl: np.ndarray, scalars: np.ndarray) -> None:
+        """Fill the rows of a chunk of resolved instruments: their P&L into
+        ``pnl``, their ``_SCALARS`` into the columns of ``scalars``.  Each
+        pricer runs once, on the bump states and then the scenarios of every
+        instrument it prices.  The chunk's first instrument at fault raises
+        the error that building its :class:`InstrumentFeatures` alone would."""
         sc = self.scenarios
         bases = [r.base for r in chunk]
         spot, vol, rate = (np.array([getattr(b, name) for b in bases]) for name in ("spot", "vol", "rate"))
@@ -258,21 +296,27 @@ class FeatureLab:
             np.hstack([bump_vols, np.maximum(vol[:, None] + sc.vol_shifts[:, cols].T, VOL_FLOOR)]),
             np.hstack([np.repeat(rate[:, None], bumps, axis=1), rate[:, None] + sc.rate_shifts[:, ccy_cols].T]),
         )
-        greeks = zip(*(g.tolist() for g in pricing.greeks_from(values)))
-        out = {}
-        for r, value, (delta, vega, gamma), row in zip(chunk, values[:, 0].tolist(), greeks, values[:, bumps:]):
+        # The block is allocated once per table and each chunk writes its
+        # rows in place, so no chunk temporary outlives its chunk: per-chunk
+        # blocks kept alive among the pricers' temporaries of nearly their
+        # size would fragment the heap.
+        np.subtract(values[:, bumps:], values[:, :1], out=pnl)
+        scalars[0] = values[:, 0]
+        scalars[1:4] = pricing.greeks_from(values)
+        finite = (np.isfinite(pnl).all(axis=1) & np.isfinite(scalars[:4]).all(axis=0)).tolist()
+        costs = []
+        for k, (r, ok, value, delta, vega, gamma) in enumerate(zip(chunk, finite, *scalars[:4].tolist())):
             try:
                 cost = self._unit_cost(r.market, r.base.kind, delta, vega, r.strike_pct)
             except QuoteError as exc:
                 raise _naming(r.ticker, exc) from None
-            # One P&L array per instrument: views of a (chunk, S) block among
-            # the pricers' temporaries of nearly its size fragment the heap
-            # (bench table1_swarm peak RSS 72.7 against 71.7 MiB on 2 vCPUs).
-            try:
-                out[r.id] = InstrumentFeatures(value, row - value, delta, vega, gamma, cost)
-            except NonFiniteFeatures as exc:
-                raise NonFiniteFeatures(exc.row, r.id) from None
-        return out
+            if not (ok and 0.0 <= cost < math.inf):
+                try:
+                    _check_features(value, pnl[k], delta, vega, gamma, cost)
+                except NonFiniteFeatures as exc:
+                    raise NonFiniteFeatures(exc.row, r.id) from None
+            costs.append(cost)
+        scalars[4] = costs
 
     def _unit_cost(
         self, u, kind: Kind, delta: float, vega: float, strike_pct: Optional[float],
@@ -304,19 +348,29 @@ class FeatureLab:
         Every id is resolved, and its input errors raised, before any is
         priced.  Pricing then runs in chunks of at most ``_CHUNK``
         instruments, which bounds the pricers' temporaries; the features
-        equal those of pricing each instrument alone, byte for byte.
+        equal those of pricing each instrument alone, byte for byte, and so
+        does the first error.
         """
-        resolved = [self._resolved(instrument_id) for instrument_id in dict.fromkeys(ids)]
-        entries: dict[str, InstrumentFeatures] = {}
-        # An overflowing scenario prices to inf or nan, and InstrumentFeatures
+        return self._build([self._resolved(instrument_id) for instrument_id in dict.fromkeys(ids)])
+
+    def build_run_table(self, universe: Sequence[UeiDescriptor], portfolio: Portfolio) -> FeatureTable:
+        """Features for the whole eligible universe plus every initial holding,
+        as :meth:`build_table` of their ids; universe instruments resolve from
+        their descriptors."""
+        entries: dict[str, Optional[UeiDescriptor]] = {d.id: d for d in universe}
+        for leg_id, _ in portfolio.legs:
+            entries.setdefault(leg_id, None)
+        return self._build([self._resolved(instrument_id, d) for instrument_id, d in entries.items()])
+
+    def _build(self, resolved: Sequence[_Resolved]) -> FeatureTable:
+        n = len(resolved)
+        pnl = np.empty((n, self.scenarios.count))
+        scalars = np.empty((len(_SCALARS), n))
+        # An overflowing scenario prices to inf or nan, and the chunk's check
         # then rejects it naming the instrument and the scenario row; numpy's
         # warnings would only repeat that without either.
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(resolved), _CHUNK):
-                entries.update(self._features(resolved[start:start + _CHUNK]))
-        return FeatureTable(entries, self.scenarios.count)
-
-    def build_run_table(self, universe: Sequence[UeiDescriptor], portfolio: Portfolio) -> FeatureTable:
-        """Features for the whole eligible universe plus every initial holding."""
-        ids = [d.id for d in universe] + [leg_id for leg_id, _ in portfolio.legs]
-        return self.build_table(ids)
+            for start in range(0, n, _CHUNK):
+                stop = start + _CHUNK
+                self._features(resolved[start:stop], pnl[start:stop], scalars[:, start:stop])
+        return FeatureTable._of_block([r.id for r in resolved], pnl, scalars)

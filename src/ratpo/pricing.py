@@ -98,13 +98,18 @@ def black_scholes(
     tau_safe = np.where(tau > 0, tau, 1.0)
     sig_sqrt = vol * np.sqrt(tau_safe)
     d1 = (np.log(spot / strike) + (rate - div_yield + 0.5 * np.square(vol)) * tau_safe) / sig_sqrt
-    d2 = d1 - sig_sqrt
-    live = sign * (
-        spot * np.exp(-div_yield * tau_safe) * ndtr(sign * d1)
-        - strike * np.exp(-rate * tau_safe) * ndtr(sign * d2)
-    )
+    live = _european(spot, strike, sign, d1, sig_sqrt, np.exp(-div_yield * tau_safe), np.exp(-rate * tau_safe),
+                     ndtr(sign * d1))
     out = np.where(tau > 0, live, intrinsic)
     return float(out) if out.ndim == 0 else out
+
+
+def _european(spot, strike, sign, d1, sig_sqrt, spot_disc, strike_disc, n1):
+    """The Black-Scholes value at a positive tenor from its pieces: ``sign``
+    is +1 for a call and -1 for a put, ``spot_disc`` and ``strike_disc`` are
+    e^{-q tau} and e^{-r tau}, and ``n1`` is N(sign d1), which the caller may
+    have computed for its own use."""
+    return sign * (spot * spot_disc * n1 - strike * strike_disc * ndtr(sign * (d1 - sig_sqrt)))
 
 
 def strike_from_delta(
@@ -196,11 +201,15 @@ def barone_adesi_whaley(
         s = np.where(s > 0.0, s, reset)
         tol = 1e-10 * K
         disc = np.exp((b - r) * t)
+        spot_disc, strike_disc = np.exp(-d * t), np.exp(-r * t)
         active = np.ones(i.size, dtype=bool)
         for _ in range(_BAW_MAX_ITER):
             d1 = (np.log(s / K) + (b + 0.5 * v2) * t) / sig_sqrt
-            g = 1.0 - disc * ndtr(e * d1)
-            f = e * (s - K) - black_scholes(s, K, t, r, d, v, call) - e * g * s / q
+            n1 = ndtr(e * d1)
+            g = 1.0 - disc * n1
+            # The European price at s, from this d1 and N(e d1): black_scholes
+            # would compute both again, with the same operations.
+            f = e * (s - K) - _european(s, K, e, d1, sig_sqrt, spot_disc, strike_disc, n1) - e * g * s / q
             fp = e * (g - g / q) + disc * (np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI) / (q * sig_sqrt)
             # An element stops at convergence or on a useless derivative, keeping its iterate.
             active &= ~(np.abs(f) < tol) & (fp != 0.0) & np.isfinite(fp)

@@ -15,6 +15,7 @@ scale-free.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -418,9 +419,14 @@ class BatchEvaluator:
     """
 
     def __init__(self, problem: ProblemInstance):
-        self.problem = problem
+        # The problem holds its evaluator, so a strong reference back would
+        # make a cycle: every dropped problem would then keep its features
+        # until the cyclic garbage collector ran.
+        self._problem = weakref.ref(problem)
+        self._scenarios, self._init_pnl = problem.var_cfg.count, problem.init.pnl
+        self._epsilon, self._pnl_rf = problem.epsilon, problem.pnl_rf
         arrays = problem.table.arrays(problem.universe_ids)
-        u, s = arrays["pnl"].shape[0], problem.var_cfg.count
+        u, s = arrays["pnl"].shape[0], self._scenarios
         self._features = np.zeros((u + 1, s + 3))
         self._features[:u, :s] = arrays["pnl"]
         self._features[:u, s:] = np.stack([arrays["delta"], arrays["vega"], arrays["gamma"]], axis=1)
@@ -447,6 +453,12 @@ class BatchEvaluator:
         self._pair_a, self._pair_b = np.array([g for g in groups if len(g) == 2], dtype=np.intp).reshape(-1, 2).T
         self._group_heads = [g[0] for g in groups]
 
+    @property
+    def problem(self) -> Optional[ProblemInstance]:
+        """The problem this evaluator scores, or None once it has been freed:
+        the evaluator keeps only a weak reference to it."""
+        return self._problem()
+
     @cached_property
     def _pnl_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The floors' tables, one entry per instrument and a last one for
@@ -462,16 +474,15 @@ class BatchEvaluator:
         """subset_floor's scenarios K, in index order: the ``BOUND_SCENARIOS``
         in which the initial book's P&L is lowest, and at least the VaR rank
         of them."""
-        k = min(self.problem.var_cfg.count, max(BOUND_SCENARIOS, self._rank))
-        return np.sort(np.argsort(self.problem.init.pnl, kind="stable")[:k])
+        k = min(self._scenarios, max(BOUND_SCENARIOS, self._rank))
+        return np.sort(np.argsort(self._init_pnl, kind="stable")[:k])
 
     @cached_property
     def _floor_features(self) -> np.ndarray:
         """subset_floor's first narrow ``features``, for every row: per
         instrument and for the initial book, the scenario mean, then Delta,
         Vega and Gamma.  Built on first use, like :attr:`_pnl_tables`."""
-        s = self.problem.var_cfg.count
-        return np.column_stack([self._pnl_tables[0], self._features[:, s:]])
+        return np.column_stack([self._pnl_tables[0], self._features[:, self._scenarios:]])
 
     @cached_property
     def _var_features(self) -> np.ndarray:
@@ -655,7 +666,7 @@ class BatchEvaluator:
         table mean S + 1 and a floor's linear sum 2m + 2, each at most half an
         epsilon of that magnitude: far fewer than 2(m + S + 8) epsilons.
         """
-        return 2.0 * (self.m + self.problem.var_cfg.count + 8) * np.finfo(float).eps * size
+        return 2.0 * (self.m + self._scenarios + 8) * np.finfo(float).eps * size
 
     def _objective_floor(self, a_lo: np.ndarray, u_hi, u_lo) -> np.ndarray:
         """A lower bound on the objective from ``A >= a_lo`` and ``u_lo <= U
@@ -676,13 +687,13 @@ class BatchEvaluator:
         """
         floor = np.full(a_lo.shape, -np.inf)
         np.divide(a_lo, u_hi, out=floor, where=(a_lo >= 0.0) & (u_hi > 0.0))
-        np.divide(a_lo, u_lo, out=floor, where=(a_lo < 0.0) & (u_lo > self.problem.epsilon))
+        np.divide(a_lo, u_lo, out=floor, where=(a_lo < 0.0) & (u_lo > self._epsilon))
         return floor
 
     def _numerator_floor(self, mean_hi: np.ndarray, cost: np.ndarray) -> np.ndarray:
         """``a_lo = (pnl_rf - mean_hi) + cost``, at most the negated numerator
         ``A`` when ``mean_hi`` is at least the mean."""
-        return (self.problem.pnl_rf - mean_hi) + cost
+        return (self._pnl_rf - mean_hi) + cost
 
     def _decode(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Check a (p, 2m) batch and decode it once for the floors and the
@@ -779,9 +790,9 @@ class BatchEvaluator:
         var = self._rank_statistic(total_pnl)
 
         denominator = var - cost
-        degenerate = denominator >= -self.problem.epsilon
+        degenerate = denominator >= -self._epsilon
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(degenerate, np.inf, (mean - self.problem.pnl_rf - cost) / denominator)
+            f = np.where(degenerate, np.inf, (mean - self._pnl_rf - cost) / denominator)
 
         psi = self._violations(sens)
         fitness = f + self._penalty(psi)

@@ -1,11 +1,17 @@
-"""Independent scalar reference for ``ratpo.pricing.barone_adesi_whaley``,
-and the analytic Black-Scholes delta that checks ``strike_from_delta``.
+"""References for ``ratpo.pricing.barone_adesi_whaley``, and the analytic
+Black-Scholes delta that checks ``strike_from_delta``.
 
-A scalar Barone-Adesi & Whaley (1987) pricer: separate call and put
-routines, a Python loop for the Newton iteration and a private Black-Scholes
-built on ``math.erfc``.  It shares no arithmetic with the broadcasting pricer
-except the European price at the input state, which comes from
-``ratpo.pricing.black_scholes``.  Tests compare the two element by element.
+:func:`barone_adesi_whaley` is an independent scalar Barone-Adesi & Whaley
+(1987) pricer: separate call and put routines, a Python loop for the Newton
+iteration and a private Black-Scholes built on ``math.erfc``.  It shares no
+arithmetic with the broadcasting pricer except the European price at the
+input state, which comes from ``ratpo.pricing.black_scholes``.  Tests compare
+the two element by element, to 1e-10 of the strike.
+
+:func:`newton_black_scholes_baw` is the broadcasting pricer as it was before
+its Newton step reused its own d1 and N(eta d1) for the European term: every
+iteration calls ``ratpo.pricing.black_scholes``.  Tests compare the two byte
+for byte.
 """
 
 from __future__ import annotations
@@ -151,3 +157,57 @@ def bs_delta(spot: float, strike: float, tenor_years: float, rate: float, div_yi
     d1 = (np.log(np.asarray(spot, float) / strike) + (rate - div_yield + 0.5 * np.square(vol)) * tenor_years) / sig_sqrt
     disc = np.exp(-div_yield * tenor_years)
     return disc * ndtr(d1) if is_call else -disc * ndtr(-d1)
+
+
+def newton_black_scholes_baw(spot, strike, tenor_years, rate, div_yield, vol, is_call):
+    """The broadcasting American pricer whose Newton step prices the European
+    term with a full ``black_scholes`` call."""
+    args = np.broadcast_arrays(spot, strike, tenor_years, rate, div_yield, vol, is_call)
+    shape = args[0].shape
+    spot, strike, tau, rate, div_yield, vol = (np.asarray(a, float).ravel() for a in args[:6])
+    is_call = args[6].astype(bool).ravel()
+    eta = np.where(is_call, 1.0, -1.0)
+    carry = rate - div_yield
+    european = black_scholes(spot, strike, tau, rate, div_yield, vol, is_call)
+    exercise = eta * (spot - strike)
+    out = np.where(is_call & (carry >= rate), european, np.maximum(european, exercise))
+
+    with np.errstate(all="ignore"):
+        vol2 = vol * vol
+        mh = np.where(np.abs(rate) < 1e-12, 2.0 / (vol2 * tau),
+                      2.0 * rate / (vol2 * (1.0 - np.exp(-rate * tau))))
+        n = 2.0 * carry / vol2
+        q = 0.5 * (-(n - 1.0) + eta * np.sqrt((n - 1.0) ** 2 + 4.0 * mh))
+        newton = (tau > 0) & np.isfinite(q) & np.where(
+            is_call, (carry < rate) & (q > 1.0), (rate > 0.0) & (q < 0.0))
+        i = np.flatnonzero(newton)
+        S, K, t, r, b, d, v, v2, e, q, eu, ex = (a[i] for a in (
+            spot, strike, tau, rate, carry, div_yield, vol, vol2, eta, q, european, exercise))
+        call = e > 0
+
+        s_inf = K / (1.0 - 1.0 / q)
+        sig_sqrt = v * np.sqrt(t)
+        h = -(b * t + 2.0 * e * sig_sqrt) * K / (s_inf - K)
+        s = np.where(call, K + (s_inf - K) * (1.0 - np.exp(h)), s_inf + (K - s_inf) * np.exp(h))
+        reset = K * (1.0 + e * 1e-9)
+        s = np.where(s > 0.0, s, reset)
+        tol = 1e-10 * K
+        disc = np.exp((b - r) * t)
+        active = np.ones(i.size, dtype=bool)
+        for _ in range(_BAW_MAX_ITER):
+            d1 = (np.log(s / K) + (b + 0.5 * v2) * t) / sig_sqrt
+            g = 1.0 - disc * ndtr(e * d1)
+            f = e * (s - K) - black_scholes(s, K, t, r, d, v, call) - e * g * s / q
+            fp = e * (g - g / q) + disc * (np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI) / (q * sig_sqrt)
+            active &= ~(np.abs(f) < tol) & (fp != 0.0) & np.isfinite(fp)
+            if not active.any():
+                break
+            step = s - f / fp
+            step = np.where(np.isfinite(step) & (e * (step - K) > 0.0) & (step > 0.0), step, reset)
+            s = np.where(active, step, s)
+        d1 = (np.log(s / K) + (b + 0.5 * v2) * t) / sig_sqrt
+        a = e * (s / q) * (1.0 - disc * ndtr(e * d1))
+        early = np.maximum(np.maximum(eu + a * (S / s) ** q, eu), ex)
+        out[i] = np.where(e * (S - s) >= 0.0, ex, early)
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out

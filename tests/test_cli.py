@@ -536,6 +536,32 @@ class TestSweep:
         assert name == "c_soc" and values == [k / 10 for k in range(1, 20)]
         assert len(_parse_grid(f"c_pers=1:{MAX_GRID_VALUES}:1")[1]) == MAX_GRID_VALUES
 
+    def test_grid_values_are_distinct_at_the_seed_digits(self):
+        from ratpo.cli import _parse_grid
+
+        name, values = _parse_grid("c_pers=0:1e-9:1e-11")
+        assert len(values) == 101 and len({f"{v:.10g}" for v in values}) == 101
+        assert values[-1] == 1e-09
+
+    def test_grids_in_use_keep_their_floats(self):
+        # The values the grids gave when they were rounded to 10 decimal places.
+        from ratpo.cli import _parse_grid
+
+        for spec in ("0.1:1.9:0.1", "0.4:1.6:0.4"):
+            start, stop, step = map(float, spec.split(":"))
+            want = [round(start + k * step, 10) for k in range(int(round((stop - start) / step)) + 1)]
+            values = _parse_grid(f"c_soc={spec}")[1]
+            assert [v.hex() for v in values] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "c_pers=1:1.00000000001:1e-12"), ("--tau-g", "0.5,0.5")])
+    def test_repeated_cell_exit_2_names_the_flag(self, data_dir, configs, tmp_path, capsys, flag, value):
+        problem, rats = configs
+        code = main(["sweep", "--data-dir", str(data_dir), "--problem", problem, "--rats", rats,
+                     flag, value, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_failed_cell_marks_row_and_exit_3(self, data_dir, configs, tmp_path, monkeypatch):
         import ratpo.cli as cli_mod
 

@@ -149,6 +149,13 @@ def _overflow_index_return(data):
     (data / "scenarios.csv").write_text("\n".join(lines) + "\n")
 
 
+def _both(first, second):
+    def mutate(data):
+        first(data)
+        second(data)
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, error, message, culprit", [
     (_set_json("market.json", "underlyings", ".FTMIB", "vol", value={"0.50": {"021": 0.2}}),
      QuoteError, ".FTMIB: no vol quoted for (K=0.5, T=49)", "market.json"),
@@ -159,7 +166,13 @@ def _overflow_index_return(data):
      "portfolio.csv"),
     (_overflow_index_return, NonFiniteFeatures, "'01|c|0.10|021': P&L is not finite in scenario row 3",
      "scenarios.csv"),
-], ids=["vol-quote", "vol-spread", "static-without-market", "position-outside-spec", "non-finite"])
+    # A later instrument of the same chunk finds no spread quote: the
+    # earlier instrument's non-finite P&L is still the error raised.
+    (_both(_overflow_index_return,
+           _set_json("market.json", "underlyings", ".STOXX50E", "vol_spread_by_strike", value={"0.10": 0.006})),
+     NonFiniteFeatures, "'01|c|0.10|021': P&L is not finite in scenario row 3", "scenarios.csv"),
+], ids=["vol-quote", "vol-spread", "static-without-market", "position-outside-spec", "non-finite",
+        "non-finite-before-a-later-quote-error"])
 def test_errors_equal_the_per_instrument_build(data_dir, problem_json, tmp_path, monkeypatch,
                                                mutate, error, message, culprit):
     data = tmp_path / "data"

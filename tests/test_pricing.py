@@ -244,6 +244,66 @@ class TestBaroneAdesiWhaleyAgainstScalarReference:
             assert array.shape == (1,) and value == array[0]
 
 
+def assert_bytes_equal_newton_reference(*args):
+    """The pricer equals the reference whose Newton step calls black_scholes, byte for byte."""
+    got = barone_adesi_whaley(*args)
+    want = reference_pricing.newton_black_scholes_baw(*args)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestBaroneAdesiWhaleyBytes:
+    """Reusing the Newton step's d1 and N(eta d1) for the European term moves
+    no byte: the scalar reference above would not see one ULP."""
+
+    def test_table1_american_block(self, monkeypatch):
+        dataset = gen_dataset(42, profile="table1")
+        american = sorted({leg for leg, _ in dataset.portfolio.legs if leg.endswith("|a")})
+        calls = []
+        original = pricing.barone_adesi_whaley
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pricing, "barone_adesi_whaley", spy)
+        FeatureLab(dataset.market, dataset.scenarios, dataset.universe_specs).build_table(american)
+        assert sum(np.broadcast(*args).size for args in calls) == 254 * len(american)
+        for args in calls:
+            assert_bytes_equal_newton_reference(*args)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4_000
+        spot = rng.uniform(20, 300, n)
+        strike = spot * rng.uniform(0.5, 1.6, n)
+        tau = rng.uniform(0.0, 2.0, n)
+        tau[::37] = 0.0
+        rate = rng.uniform(-0.02, 0.08, n)
+        rate[::29] = 0.0
+        div = rng.uniform(0.0, 0.08, n)
+        is_call = rng.integers(0, 2, n).astype(bool)
+        # Calls whose dividend yield is at or above the rate.
+        div[::11] = rate[::11] + rng.uniform(0.0, 0.03, rate[::11].size)
+        div[::22] = rate[::22]
+        # Deep in-the-money puts, exercised at once.
+        is_call[::13], strike[::13] = False, spot[::13] * 3.0
+        rate[::13] = np.abs(rate[::13]) + 0.01
+        vol = rng.uniform(0.05, 0.6, n)
+        assert (rate < 0).any() and (rate == 0).any() and (is_call & (div >= rate)).any()
+        assert_bytes_equal_newton_reference(spot, strike, tau, rate, div, vol, is_call)
+        exercised = ~is_call & (tau > 0) & (barone_adesi_whaley(spot, strike, tau, rate, div, vol, is_call)
+                                            == strike - spot)
+        assert exercised[::13].sum() > 100
+
+    def test_broadcast_shapes_and_scalars(self):
+        spot = np.array([[60.0], [100.0], [160.0]])
+        args = (spot, 100.0, np.array([0.0, 0.5, 1.5]), 0.05, 0.02, 0.25, np.array([True, False, False]))
+        assert_bytes_equal_newton_reference(*args)
+        assert_bytes_equal_newton_reference(90.0, 100.0, 1.0, 0.05, 0.0, 0.3, False)
+
+
 class TestStrikeFromDelta:
     def test_half_delta_strike(self):
         # Phi^-1(0.5) = 0 forces K = S * exp(sigma^2 tau / 2).

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -413,3 +416,19 @@ class TestBatchEvaluator:
         a = ev.evaluate(X)["feasible"]
         b = ev.evaluate(mirrored)["feasible"]
         assert np.array_equal(a, b)
+
+    def test_a_dropped_problem_is_freed_without_the_cycle_collector(self, toy_problem):
+        problem = dataclasses.replace(toy_problem, pnl_rf=4.0)
+        evaluator = problem.evaluator
+        assert evaluator.problem is problem
+        ref = weakref.ref(problem)
+        gc.disable()
+        try:
+            del problem
+            assert ref() is None
+        finally:
+            gc.enable()
+        # The evaluator keeps scoring: it holds what it reads of the problem.
+        want = dataclasses.replace(toy_problem, pnl_rf=4.0).evaluate(toy_problem.empty_position())
+        assert evaluator.problem is None
+        assert evaluator.evaluate(toy_problem.empty_position()[None, :])["fitness"][0] == want.fitness
