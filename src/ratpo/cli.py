@@ -514,7 +514,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--rats", default=os.environ.get(ENV_RATS_CONFIG))
     p.add_argument("--grid", nargs="+", default=["c_pers=0.1:1.9:0.1", "c_soc=0.1:1.9:0.1"])
     p.add_argument("--tau-g", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

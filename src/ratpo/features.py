@@ -40,6 +40,10 @@ from .pricing import PricingInputs
 VOL_FLOOR = 1e-6
 #: Shocked spots cannot fall below this fraction of the base spot.
 SPOT_FLOOR = 1e-6
+#: The vol that stocks and futures carry into pricing.  Neither price reads
+#: it, so they look nothing up on the vol surface; it is positive only
+#: because :class:`PricingInputs` requires a positive vol.
+LINEAR_VOL = 1.0
 #: Instruments priced per chunk of :meth:`FeatureLab.build_table`.
 _CHUNK = 64
 
@@ -228,23 +232,26 @@ class FeatureLab:
         """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct, vol).
 
         A universe instrument may come with its ``descriptor``, which then
-        stands for its parsed id.
+        stands for its parsed id.  Only options look up a vol and a
+        delta-quoted strike; stocks and futures carry :data:`LINEAR_VOL`.
         """
         if descriptor is not None or is_uei_id(instrument_id):
             d = parse_descriptor_id(instrument_id) if descriptor is None else descriptor
             if d.underlying_pos > len(self.specs):
                 raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
             ticker = self.specs[d.underlying_pos - 1].ticker
-            if d.kind is Kind.STOCK:
-                return ticker, d.kind, None, None, Exercise.EUROPEAN, None, self._vol_for(ticker, None, None)
+            if not d.kind.is_option:
+                return ticker, d.kind, None, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct, LINEAR_VOL
             vol = self._vol_for(ticker, d.strike_delta_pct, d.tenor_days)
-            strike_abs = self._delta_quoted_strike(ticker, d, vol) if d.kind.is_option else None
+            strike_abs = self._delta_quoted_strike(ticker, d, vol)
             return ticker, d.kind, strike_abs, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct, vol
         s = parse_static_id(instrument_id)
         if s.ticker not in self.market.underlyings:
             raise FeatureError(f"{instrument_id!r}: no market data for {s.ticker!r}")
         exercise = Exercise.EUROPEAN if s.exercise is None else s.exercise
-        return s.ticker, s.kind, s.strike, s.tenor_days, exercise, None, self._vol_for(s.ticker, None, s.tenor_days)
+        # Static options quote absolute strikes; price them off the ATM point.
+        vol = self._vol_for(s.ticker, 0.50, s.tenor_days) if s.kind.is_option else LINEAR_VOL
+        return s.ticker, s.kind, s.strike, s.tenor_days, exercise, None, vol
 
     def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor, vol: float) -> float:
         u = self.market.underlying(ticker)
@@ -253,14 +260,11 @@ class FeatureLab:
             u.spot, tau, self.market.rate_for(ticker), u.div_yield, vol, d.strike_delta_pct, d.kind,
         )
 
-    def _vol_for(self, ticker: str, strike_delta_pct: Optional[float], tenor_days: Optional[int]) -> float:
-        u = self.market.underlying(ticker)
-        if not isinstance(u.vol, Mapping):
-            return float(u.vol)
-        # Static instruments quote absolute strikes; price them off the ATM point.
-        strike = 0.50 if strike_delta_pct is None else strike_delta_pct
+    def _vol_for(self, ticker: str, strike_delta_pct: float, tenor_days: int) -> float:
+        """An option's vol: the surface point at its strike and tenor, or the
+        flat vol."""
         try:
-            return u.vol_for(strike, tenor_days)
+            return self.market.underlying(ticker).vol_for(strike_delta_pct, tenor_days)
         except QuoteError as exc:
             raise _naming(ticker, exc) from None
 

@@ -380,6 +380,10 @@ class ProblemInstance:
         return self.structure.empty_position()
 
 
+#: :meth:`BatchEvaluator.evaluate_pruned` bounds a batch only when its full
+#: P&L product would take at least this many multiply-adds.
+PRUNE_MADDS = 500_000
+
 #: Scenarios in :meth:`BatchEvaluator.subset_floor`'s VaR bound: the initial
 #: book's lowest, and never fewer than the VaR rank.
 BOUND_SCENARIOS = 16
@@ -414,8 +418,8 @@ class BatchEvaluator:
     decodes it into slot rows, notionals and trading cost; :meth:`_score` is
     the fitness and :meth:`_subset_floor` the swarm's floor of a decoded
     batch.  :meth:`evaluate` and :meth:`subset_floor` each decode and run one
-    step, and :meth:`evaluate_pruned` decodes once and runs both, so the
-    fitness stays one implementation.
+    step, and :meth:`evaluate_pruned` calls :meth:`evaluate` or decodes once
+    and runs both, so the fitness stays one implementation.
     """
 
     def __init__(self, problem: ProblemInstance):
@@ -821,17 +825,32 @@ class BatchEvaluator:
         matrix that may beat ``best``, a per-row bound: (fitness, feasible,
         rows scored).
 
-        The batch is checked and decoded once.  Every row is bounded by
+        Pruning never changes which rows reach ``fitness < best``, only the
+        time a batch takes.  The floor adds a fixed cost of numpy calls and
+        saves the full product of the rows it prunes, ``(m + 1) x (S + 3)``
+        multiply-adds each, so it pays only on large batches: on one thread
+        of a 2-vCPU host it broke even at about 45 rows on table1 (m = 39)
+        and about 250 on reduced (m = 3), both with S = 250.  A batch is
+        bounded when ``p x (m + 1) x (S + 3)`` is at least
+        :data:`PRUNE_MADDS` (50 rows on table1, 495 on reduced) and some
+        bound is finite; otherwise :meth:`evaluate` scores every row.
+
+        A bounded batch is checked and decoded once.  Every row is bounded by
         :meth:`subset_floor`, and only the rows whose floor is not at least
         their ``best`` (a NaN floor included) are scored, by the steps of
         :meth:`evaluate`, so their fitness and feasibility are its bytes.
         The others cannot reach ``fitness < best``, and read fitness +inf and
-        infeasible.  Raises :class:`StructureError` as ``evaluate`` does.
+        infeasible: the pruning rule of branch and bound (Land & Doig, 1960),
+        exact per row.  Raises :class:`StructureError` as ``evaluate`` does.
         """
+        p = positions.shape[0]
+        if p * (self.m + 1) * (self._scenarios + 3) < PRUNE_MADDS or not np.isfinite(best).any():
+            res = self.evaluate(positions)
+            return res["fitness"], res["feasible"], p
         idx, notion, cost = self._decode(positions)
         rows = np.flatnonzero(~(self._subset_floor(idx, notion, cost) >= best))
         res = self._score(idx[rows], notion[rows], cost[rows])
-        fitness, feasible = np.full(idx.shape[0], np.inf), np.zeros(idx.shape[0], dtype=bool)
+        fitness, feasible = np.full(p, np.inf), np.zeros(p, dtype=bool)
         fitness[rows], feasible[rows] = res["fitness"], res["feasible"]
         return fitness, feasible, rows.size
 

@@ -19,19 +19,19 @@ Standard swarm recursion with three departures that matter here:
   for every particle like textbook PSO.
 
 Fitness evaluation is pure and vectorized.  A step reads a row's fitness
-only through ``fitness < personal best``, so on large batches (:func:`prunes`)
-it makes one :meth:`BatchEvaluator.evaluate_pruned` call: that decodes the
-batch once, bounds every row from below with the floor of
-:meth:`BatchEvaluator.subset_floor` and scores in full only the rows whose
-floor is not at least their personal best: the pruning rule of branch and
-bound (Land & Doig, 1960), applied per particle.  It is exact, so the
-trajectory is the one full scoring gives.  Every batch is scored in the
-calling thread, by one evaluator call; ``RatsConfig.threads`` is accepted
-but starts no thread.
+only through ``fitness < personal best``, so every batch goes to one
+:meth:`BatchEvaluator.evaluate_pruned` call with the personal bests as
+bounds (the initial batch with +inf).  The evaluator decides whether
+bounding the batch pays and, if so, scores in full only the rows that can
+beat their bound: the pruning rule of branch and bound (Land & Doig, 1960),
+applied per particle.  It is exact, so the trajectory is the one full
+scoring gives.  Every batch is scored in the calling thread;
+``RatsConfig.threads`` is accepted but starts no thread.
 
-The step keeps float copies of the positions and the personal bests, so
-its arithmetic never converts an int array; the int positions are written
-once per step, for the evaluator.
+The swarm keeps one float copy each of the positions, the personal bests,
+the global best and the bounds, so its arithmetic never converts an int
+array; the int positions are written once per step, for the evaluator.
+The positions are small integers, exact as floats.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class RatsConfig:
 @dataclass
 class RunState:
     iteration: int
-    best_position: np.ndarray
+    best_position: np.ndarray  # float, like the swarm's other position arrays
     best_fitness: float
     best_feasible: bool
     stall: int
@@ -153,26 +153,6 @@ class RatsResult:
         return self.breakdown.fitness
 
 
-#: A swarm prunes its steps when one step's full P&L product would take at
-#: least this many multiply-adds (:func:`prunes`).
-PRUNE_MADDS = 500_000
-
-
-def prunes(problem: ProblemInstance, particles: int) -> bool:
-    """Whether a swarm's steps bound their rows before scoring any in full.
-
-    Pruning never changes a result, only the time a step takes.  The floor
-    adds a fixed cost of numpy calls to every step and saves the full product
-    of the rows it prunes, ``(m + 1) x (S + 3)`` multiply-adds each, so it
-    pays only on large batches: on one thread of a 2-vCPU host it broke even
-    at about 45 particles on table1 (m = 39) and about 250 on reduced
-    (m = 3), both with S = 250.  A step prunes when ``particles x (m + 1) x
-    (S + 3)`` is at least :data:`PRUNE_MADDS`, which puts the threshold at 50
-    particles on table1 and 495 on reduced.
-    """
-    return particles * (problem.structure.m + 1) * (problem.var_cfg.count + 3) >= PRUNE_MADDS
-
-
 class Swarm:
     """Owns the particle arrays and the run loop for one optimization."""
 
@@ -180,34 +160,22 @@ class Swarm:
         self.cfg = cfg
         self.problem = problem
         self.evaluator = problem.evaluator
-        self.lower, self.upper = problem.structure.position_bounds()
+        self.lower, self.upper = (b.astype(float) for b in problem.structure.position_bounds())
         self.dim = 2 * problem.structure.m
         self.rng = np.random.default_rng(cfg.seed)
         self.evaluations = 0
         self.scored = 0
-        self.prunes = prunes(problem, cfg.particles)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _evaluate(self, positions: np.ndarray,
-                  best: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Penalty fitness and feasible mask of a batch of positions.
-
-        Given the personal bests ``best`` of a swarm that prunes, one
-        :meth:`BatchEvaluator.evaluate_pruned` call scores only the rows whose
-        floor is not at least their best; every other row cannot improve and
-        reads fitness +inf and infeasible.  Otherwise one
-        :meth:`BatchEvaluator.evaluate` call scores the whole batch.
-        """
-        p = positions.shape[0]
-        self.evaluations += p
-        if best is not None and self.prunes:
-            fitness, feasible, scored = self.evaluator.evaluate_pruned(positions, best)
-            self.scored += scored
-            return fitness, feasible
-        self.scored += p
-        res = self.evaluator.evaluate(positions)
-        return res["fitness"], res["feasible"]
+    def _evaluate(self, positions: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Penalty fitness and feasible mask of a batch of positions, by one
+        :meth:`BatchEvaluator.evaluate_pruned` call with the per-row bounds
+        ``best``: a row that cannot beat its bound reads +inf and infeasible."""
+        fitness, feasible, scored = self.evaluator.evaluate_pruned(positions, best)
+        self.evaluations += positions.shape[0]
+        self.scored += scored
+        return fitness, feasible
 
     def _champion(self) -> int:
         """The personal best that leads: feasible before infeasible, then lowest
@@ -224,19 +192,14 @@ class Swarm:
         m = self.problem.structure.m
         self.positions = np.empty((n, self.dim), dtype=np.int64)
         for j in range(self.dim):
-            self.positions[:, j] = self.rng.integers(self.lower[j], self.upper[j] + 1, size=n)
+            self.positions[:, j] = self.rng.integers(int(self.lower[j]), int(self.upper[j]) + 1, size=n)
         self.velocities = self.rng.uniform(cfg.v_min, cfg.v_max, size=(n, self.dim))
         # Guarantee a feasible incumbent: one particle trades nothing.
         self.positions[0, m:] = self.problem.empty_position()[m:]
 
-        # Float copies of the positions, the personal bests and the bounds, so
-        # that no op of the step's recursion casts an int to a float.
         self._x, self._work = self.positions.astype(float), np.empty((n, self.dim))
-        self._lower, self._upper = self.lower.astype(float), self.upper.astype(float)
-
-        self.best_positions = self.positions.copy()
-        self._best_x = self._x.copy()
-        self.best_fitness, self.best_feasible = self._evaluate(self.positions)
+        self.best_positions = self._x.copy()
+        self.best_fitness, self.best_feasible = self._evaluate(self.positions, np.full(n, np.inf))
         best = self._champion()
         state = RunState(
             iteration=0,
@@ -251,8 +214,8 @@ class Swarm:
 
     def _concentration(self, global_best: np.ndarray) -> float:
         """Share of personal bests equal to ``global_best``.  Each row is
-        compared as one block of bytes, which for int64 entries is equality
-        of every entry."""
+        compared as one block of bytes, which for these integral floats (never
+        NaN or -0.0) is equality of every entry."""
         row = np.dtype((np.void, self.dim * self.best_positions.itemsize))
         target = np.ascontiguousarray(global_best, dtype=self.best_positions.dtype).view(row)
         matches = np.count_nonzero(self.best_positions.view(row)[:, 0] == target[0])
@@ -273,27 +236,25 @@ class Swarm:
         # The velocity and move recursion below, in place on the float copies:
         #   v = inertia * v + c_pers * r1 * (pbest - x) + c_soc * r2 * (gbest - x)
         #   x = round_to_bounds(x + v, lower, upper)
-        # with the same operations in the same order, so the same bytes.  The
-        # positions are small integers, exact as floats.
+        # with the same operations in the same order, so the same bytes.
         # A velocity may overflow (large coefficients, or an inertia above 1
         # over many steps); round_to_bounds then puts the move on a bound.
         v, work, x = self.velocities, self._work, self._x
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(v, state.inertia, out=v)
-            np.subtract(self._best_x, x, out=work)
+            np.subtract(self.best_positions, x, out=work)
             np.multiply(cfg.c_pers * r1, work, out=work)
             np.add(v, work, out=v)
-            np.subtract(state.best_position.astype(float)[None, :], x, out=work)
+            np.subtract(state.best_position[None, :], x, out=work)
             np.multiply(cfg.c_soc * r2, work, out=work)
             np.add(v, work, out=v)
             np.add(x, v, out=x)
-        round_to_bounds(x, self._lower, self._upper)
+        round_to_bounds(x, self.lower, self.upper)
         self.positions[...] = x
 
         fitness, feasible = self._evaluate(self.positions, self.best_fitness)
         improved = fitness < self.best_fitness
-        self.best_positions[improved] = self.positions[improved]
-        self._best_x[improved] = x[improved]
+        self.best_positions[improved] = x[improved]
         self.best_fitness[improved] = fitness[improved]
         self.best_feasible[improved] = feasible[improved]
 
@@ -344,10 +305,11 @@ class Swarm:
         else:
             state.stop_reason = StopReason.CONCENTRATION
 
-        breakdown = self.problem.evaluate(state.best_position)
+        position = state.best_position.astype(np.int64)
+        breakdown = self.problem.evaluate(position)
         return RatsResult(
-            position=state.best_position,
-            strategy=self.problem.decode(state.best_position),
+            position=position,
+            strategy=self.problem.decode(position),
             breakdown=breakdown,
             stop_reason=state.stop_reason,
             iterations=state.iteration,

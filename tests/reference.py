@@ -49,6 +49,7 @@ import numpy as np
 
 from ratpo import oracle, pricing
 from ratpo.features import (
+    LINEAR_VOL,
     SPOT_FLOOR,
     VOL_FLOOR,
     FeatureLab,
@@ -81,7 +82,11 @@ def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatur
     u = lab.market.underlying(ticker)
     rate = lab.market.rate_for(ticker)
     tau = 0.0 if tenor_days is None else tenor_days / lab.day_count
-    vol = lab._vol_for(ticker, strike_pct, tenor_days)
+    # Only options read the surface; static ones at the ATM point.
+    if not kind.is_option:
+        vol = LINEAR_VOL
+    else:
+        vol = lab._vol_for(ticker, 0.50 if strike_pct is None else strike_pct, tenor_days)
     base = pricing.PricingInputs(
         spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
         strike=strike_abs, kind=kind, exercise=exercise,

@@ -14,7 +14,7 @@ from conftest import make_toy_problem
 
 from ratpo.cli import main
 from ratpo.oracle import Enumerator
-from ratpo.swarm import RatsConfig, Swarm, prunes
+from ratpo.swarm import RatsConfig, Swarm
 
 
 def test_runs_start_no_thread(reduced_problem, tmp_path):
@@ -31,8 +31,10 @@ def test_runs_start_no_thread(reduced_problem, tmp_path):
     with mock.patch.object(threading.Thread, "start", refuse):
         for particles in (1000, 30):
             cfg = RatsConfig(particles=particles, k_max=3, seed=5, threads=2)
-            assert prunes(reduced_problem, particles) is (particles == 1000)
-            assert Swarm(cfg, reduced_problem).run().iterations == 3
+            result = Swarm(cfg, reduced_problem).run()
+            assert result.iterations == 3
+            # 1000 rows on reduced are bounded and pruned (evaluate_pruned), 30 are scored in full.
+            assert (result.scored < result.evaluations) is (particles == 1000)
         assert Enumerator(make_toy_problem()).enumerate(budget=1000, block_size=7, threads=2).count == 300
         assert main(["sweep", "--data-dir", str(data), "--problem", str(problem), "--rats", str(rats),
                      "--grid", "c_pers=0.5:1.0:0.5", "c_soc=1:1:1", "--threads", "2",

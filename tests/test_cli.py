@@ -219,6 +219,20 @@ class TestBadConfigs:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "optimize", "sweep"])
+    def test_negative_seed_is_usage_error(self, data_dir, configs, tmp_path, capsys, command):
+        problem, rats = configs
+        if command == "gen":
+            argv = ["gen", "--out-dir", str(tmp_path / "o")]
+        else:
+            argv = [command, "--data-dir", str(data_dir), "--problem", problem, "--rats", rats,
+                    "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--tau-eq", "nan"), ("--tau-eq", "-1"), ("--budget", "0"), ("--budget", "-5"),
     ])
@@ -318,7 +332,7 @@ class TestOptimize:
         assert {k: v for k, v in slot_total.items() if v != 0} == merged
 
     def test_reports_rows_scored(self, data_dir, configs, tmp_path, capsys):
-        # 1000 particles on reduced is a swarm that prunes (swarm.prunes).
+        # 1000 rows on reduced are a batch that evaluate_pruned bounds.
         problem, _ = configs
         rats = write_json(tmp_path / "rats1000.json", {"particles": 1000, "k_max": 5, "seed": 2})
         out = tmp_path / "run1000"
@@ -455,6 +469,20 @@ class TestOracleCmd:
         assert 0 < expected.scored < expected.feasible < expected.count
         assert (f"over {expected.count} positions ({expected.feasible} feasible, {expected.scored} scored, "
                 f"{len(expected.optimal_positions)} optimal, ") in summary
+
+    def test_progress_counts_up_to_the_box(self, data_dir, configs, tmp_path, capsys):
+        # 629,856 positions in blocks of 65,536: ten blocks, one line each.
+        problem, _ = configs
+        assert main(["oracle", "--data-dir", str(data_dir), "--problem", problem, "--progress",
+                     "--out", str(tmp_path / "oracle")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 10
+        done = []
+        for line in lines:
+            head, _, tail = line.partition("/")
+            assert head.startswith("oracle: ") and tail == "629856 positions screened, bounded and scored"
+            done.append(int(head.removeprefix("oracle: ")))
+        assert done == sorted(set(done)) and done[-1] == 629_856
 
     def test_truncated_optimal_set_marked_in_csv(self, data_dir, tmp_path, monkeypatch):
         from ratpo import oracle

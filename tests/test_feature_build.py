@@ -102,8 +102,12 @@ def problem_json(tmp_path_factory):
 
 
 def per_instrument(monkeypatch):
-    """Make every FeatureLab build its tables one instrument at a time."""
-    monkeypatch.setattr(FeatureLab, "build_table", reference.feature_table)
+    """Make every run's feature table (``FeatureLab.build_run_table``, which
+    ``assemble_problem`` calls) come from the per-instrument reference: the
+    universe ids, then the book's."""
+    def build_run_table(lab, universe, portfolio):
+        return reference.feature_table(lab, [d.id for d in universe] + [leg for leg, _ in portfolio.legs])
+    monkeypatch.setattr(FeatureLab, "build_run_table", build_run_table)
 
 
 def features_cli(data, problem_json, out, warn="ignore"):
@@ -157,8 +161,10 @@ def _both(first, second):
 
 
 @pytest.mark.parametrize("mutate, error, message, culprit", [
+    # Only options read the surface: the book's .FTMIB futures, the first
+    # .FTMIB legs, ask for no vol, and its option of tenor 266 fails first.
     (_set_json("market.json", "underlyings", ".FTMIB", "vol", value={"0.50": {"021": 0.2}}),
-     QuoteError, ".FTMIB: no vol quoted for (K=0.5, T=49)", "market.json"),
+     QuoteError, ".FTMIB: no vol quoted for (K=0.5, T=266)", "market.json"),
     (_set_json("market.json", "underlyings", ".STOXX50E", "vol_spread_by_strike", value={"0.10": 0.006}),
      QuoteError, ".STOXX50E: no vol spread quoted for K=0.25", "market.json"),
     (_append_leg("NOPE|s"), FeatureError, "'NOPE|s': no market data for 'NOPE'", "portfolio.csv"),
@@ -202,3 +208,31 @@ def test_errors_equal_the_per_instrument_build(data_dir, problem_json, tmp_path,
     assert code == 2
     # The CLI names the file at fault, or the data directory when no one file is.
     assert f"ratpo: {data / culprit if culprit else data}: " in err
+
+
+def _surface(ticker, strikes, tenors):
+    """A vol surface for ``ticker`` with its flat vol at every (strike, tenor)."""
+    def mutate(data):
+        payload = json.loads((data / "market.json").read_text())
+        node = payload["underlyings"][ticker]
+        node["vol"] = {k: {f"{t:03d}": node["vol"] for t in tenors} for k in strikes}
+        (data / "market.json").write_text(json.dumps(payload))
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    # AXAF.PA's book holds stock and options of tenors 49, 266 and 630.
+    _surface("AXAF.PA", ["0.10", "0.25", "0.50"], [49, 266, 630]),
+    # .FTMIB's book options have tenors 21, 266 and 630; its futures 21, 49 and 168.
+    _surface(".FTMIB", ["0.50"], [21, 266, 630]),
+], ids=["stock-on-a-full-surface", "futures-on-an-unquoted-tenor"])
+def test_linear_instruments_read_no_vol(data_dir, problem_json, tmp_path, mutate):
+    """Stocks and futures price without a vol, so a surface that quotes no
+    point at their (strike, tenor) builds, and with the flat vol at every
+    quoted point it builds the flat market's bytes."""
+    assert features_cli(data_dir, problem_json, tmp_path / "flat.csv") == (0, "")
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    mutate(data)
+    assert features_cli(data, problem_json, tmp_path / "surface.csv") == (0, "")
+    assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()

@@ -141,6 +141,6 @@ def test_floor_holds_on_swarm_positions(table1_problem):
     state = swarm.initialize()
     for _ in range(10):
         swarm.step(state)
-    rows = np.concatenate([swarm.positions, swarm.best_positions])
+    rows = np.concatenate([swarm.positions, swarm.best_positions.astype(np.int64)])
     floor = assert_floor_holds(table1_problem, rows, None)
     assert (np.isfinite(floor) & (floor < 0.0)).any()

@@ -1,9 +1,9 @@
 """The pruned swarm step against the full-scoring reference swarm
 (``reference.full_scoring_swarm``).
 
-A pruning step makes one ``BatchEvaluator.evaluate_pruned`` call, which
-scores in full only the rows whose ``subset_floor`` is below their personal
-best.  Pruning is exact, so trajectory, final position, fitness and stop
+Every step makes one ``BatchEvaluator.evaluate_pruned`` call.  On a batch
+large enough to bound, it scores in full only the rows whose
+``subset_floor`` is below their personal best.  Pruning is exact, so trajectory, final position, fitness and stop
 reason must equal the reference's, and the evaluation count still counts
 every position.
 """
@@ -17,8 +17,8 @@ import pytest
 
 import reference
 
-from ratpo.problem import ProblemInstance
-from ratpo.swarm import PRUNE_MADDS, RandomMode, RatsConfig, RatsResult, StopReason, Swarm, prunes, run
+from ratpo.problem import PRUNE_MADDS, ProblemInstance
+from ratpo.swarm import RandomMode, RatsConfig, RatsResult, StopReason, Swarm, run
 
 #: bench/'s table1_swarm run: 1000 particles, 50 iterations, no early stop.
 TABLE1 = dict(particles=1000, k_max=50, k_max_stall=10**9, tau_p=0.999999)
@@ -39,7 +39,6 @@ def assert_matches_reference(cfg: RatsConfig, problem: ProblemInstance) -> RatsR
 @pytest.mark.parametrize("seed", [101000, 104036, 6084])
 def test_table1_matches_full_scoring(table1_problem, seed):
     cfg = RatsConfig(seed=seed, **TABLE1)
-    assert prunes(table1_problem, cfg.particles)
     result = assert_matches_reference(cfg, table1_problem)
     # The initial swarm is scored in full; then only rows that can improve.
     assert result.evaluations == 51 * 1000
@@ -56,7 +55,6 @@ def test_concentration_stop_matches_full_scoring(reduced_problem):
     # bests gather on the global best, so the swarm's concentration is
     # checked against the reference's at a high share, on every step.
     cfg = RatsConfig(particles=1000, w_min=0.3, w_max=0.9, k_max_stall=10**9, seed=3)
-    assert prunes(reduced_problem, cfg.particles)
     result = assert_matches_reference(cfg, reduced_problem)
     assert result.stop_reason is StopReason.CONCENTRATION
     assert result.trajectory[-1][2] >= cfg.tau_p
@@ -98,7 +96,6 @@ def test_every_fitness_infinite(reduced_problem):
     # fitness is +inf: no floor reaches a personal best and every row is scored.
     problem = dataclasses.replace(reduced_problem, epsilon=1e12)
     cfg = RatsConfig(particles=1000, k_max=20, seed=6)
-    assert prunes(problem, cfg.particles)
     assert_matches_reference(cfg, problem)
     result = run(cfg, problem)
     assert result.fitness == np.inf
@@ -107,12 +104,38 @@ def test_every_fitness_infinite(reduced_problem):
 
 @pytest.mark.parametrize("name, threshold", [("table1", 50), ("reduced", 495)])
 def test_prune_rule_depends_on_problem_and_particles(request, name, threshold):
+    """``evaluate_pruned`` bounds a batch from ``threshold`` rows on.  A bound
+    of -1e300 is finite and below every floor, so a bounded batch scores no
+    row, and a batch one row short scores every row."""
     problem = request.getfixturevalue(f"{name}_problem")
     width = (problem.structure.m + 1) * (problem.var_cfg.count + 3)
     assert (threshold - 1) * width < PRUNE_MADDS <= threshold * width
-    assert not prunes(problem, threshold - 1)
-    assert prunes(problem, threshold)
-    assert Swarm(RatsConfig(particles=threshold), problem).prunes
-    # A swarm that does not prune scores every position it evaluates.
+    ev = problem.evaluator
+    rows = np.random.default_rng(14).integers(*problem.structure.position_bounds(),
+                                              size=(threshold, 2 * problem.structure.m), endpoint=True)
+    assert np.all(ev.subset_floor(rows) > -1e300)
+    fitness, feasible, scored = ev.evaluate_pruned(rows, np.full(threshold, -1e300))
+    assert scored == 0 and np.all(fitness == np.inf) and not feasible.any()
+    fitness, feasible, scored = ev.evaluate_pruned(rows[1:], np.full(threshold - 1, -1e300))
+    want = ev.evaluate(rows[1:])
+    assert scored == threshold - 1
+    assert fitness.tobytes() == want["fitness"].tobytes()
+    assert np.array_equal(feasible, want["feasible"])
+    # A swarm below the threshold scores every position it evaluates.
     small = run(RatsConfig(particles=threshold - 1, k_max=3, seed=8), problem)
     assert small.scored == small.evaluations == 4 * (threshold - 1)
+
+
+@pytest.mark.parametrize("name", ["reduced", "table1"])
+def test_infinite_bounds_score_every_row_as_evaluate(request, name):
+    """With every bound +inf no row is bounded, however large the batch: each
+    carries ``evaluate``'s bytes, as the initial swarm's batch does."""
+    problem = request.getfixturevalue(f"{name}_problem")
+    ev = problem.evaluator
+    rows = np.random.default_rng(15).integers(*problem.structure.position_bounds(),
+                                              size=(1000, 2 * problem.structure.m), endpoint=True)
+    fitness, feasible, scored = ev.evaluate_pruned(rows, np.full(1000, np.inf))
+    want = ev.evaluate(rows)
+    assert scored == 1000
+    assert fitness.tobytes() == want["fitness"].tobytes()
+    assert np.array_equal(feasible, want["feasible"])
