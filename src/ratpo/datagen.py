@@ -261,10 +261,11 @@ def gen_portfolio(
 # ---------------------------------------------------------------------------
 
 
-def reduced_stoxx_spec(tenor_count: int = 2) -> UnderlyingSpec:
-    """A single-index universe cut down to a brute-force-friendly size."""
+def reduced_stoxx_spec() -> UnderlyingSpec:
+    """A single-index universe cut down to a brute-force-friendly size: its
+    first two tenors."""
     base = next(s for s in DEFAULT_UNDERLYINGS if s.ticker == ".STOXX50E")
-    return replace(base, tenor_domain=base.tenor_domain[:tenor_count])
+    return replace(base, tenor_domain=base.tenor_domain[:2])
 
 
 PROFILES: dict[str, tuple[tuple[UnderlyingSpec, ...], PortfolioProfile]] = {
@@ -287,7 +288,6 @@ def gen_dataset(
     seed: int,
     profile: str = "table1",
     scenario_count: int = 250,
-    scenario_config: ScenarioGenConfig = ScenarioGenConfig(),
 ) -> Dataset:
     """Generate a full consistent input set.
 
@@ -298,6 +298,6 @@ def gen_dataset(
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     universe_specs, book_profile = PROFILES[profile]
     market = gen_market(seed, DEFAULT_UNDERLYINGS)
-    scenarios = gen_scenarios(seed + 1, scenario_count, DEFAULT_UNDERLYINGS, config=scenario_config)
+    scenarios = gen_scenarios(seed + 1, scenario_count, DEFAULT_UNDERLYINGS)
     portfolio = gen_portfolio(seed + 2, DEFAULT_UNDERLYINGS, market, book_profile)
     return Dataset(universe_specs, market, scenarios, portfolio)

@@ -162,9 +162,6 @@ class FeatureTable:
         return InstrumentFeatures(float(self._value[k]), self._pnl[k], float(self._delta[k]),
                                   float(self._vega[k]), float(self._gamma[k]), float(self._cost[k]))
 
-    def __contains__(self, instrument_id: str) -> bool:
-        return instrument_id in self._rows
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -227,39 +224,6 @@ class FeatureLab:
 
     # -- id resolution ------------------------------------------------------
 
-    def _resolve(self, instrument_id: str, descriptor: Optional[UeiDescriptor] = None) -> tuple[
-            str, Kind, Optional[float], Optional[int], Exercise, Optional[float], float]:
-        """Return (ticker, kind, strike_abs, tenor_days, exercise, strike_delta_pct, vol).
-
-        A universe instrument may come with its ``descriptor``, which then
-        stands for its parsed id.  Only options look up a vol and a
-        delta-quoted strike; stocks and futures carry :data:`LINEAR_VOL`.
-        """
-        if descriptor is not None or is_uei_id(instrument_id):
-            d = parse_descriptor_id(instrument_id) if descriptor is None else descriptor
-            if d.underlying_pos > len(self.specs):
-                raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
-            ticker = self.specs[d.underlying_pos - 1].ticker
-            if not d.kind.is_option:
-                return ticker, d.kind, None, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct, LINEAR_VOL
-            vol = self._vol_for(ticker, d.strike_delta_pct, d.tenor_days)
-            strike_abs = self._delta_quoted_strike(ticker, d, vol)
-            return ticker, d.kind, strike_abs, d.tenor_days, Exercise.EUROPEAN, d.strike_delta_pct, vol
-        s = parse_static_id(instrument_id)
-        if s.ticker not in self.market.underlyings:
-            raise FeatureError(f"{instrument_id!r}: no market data for {s.ticker!r}")
-        exercise = Exercise.EUROPEAN if s.exercise is None else s.exercise
-        # Static options quote absolute strikes; price them off the ATM point.
-        vol = self._vol_for(s.ticker, 0.50, s.tenor_days) if s.kind.is_option else LINEAR_VOL
-        return s.ticker, s.kind, s.strike, s.tenor_days, exercise, None, vol
-
-    def _delta_quoted_strike(self, ticker: str, d: UeiDescriptor, vol: float) -> float:
-        u = self.market.underlying(ticker)
-        tau = d.tenor_days / self.day_count
-        return pricing.strike_from_delta(
-            u.spot, tau, self.market.rate_for(ticker), u.div_yield, vol, d.strike_delta_pct, d.kind,
-        )
-
     def _vol_for(self, ticker: str, strike_delta_pct: float, tenor_days: int) -> float:
         """An option's vol: the surface point at its strike and tenor, or the
         flat vol."""
@@ -268,18 +232,41 @@ class FeatureLab:
         except QuoteError as exc:
             raise _naming(ticker, exc) from None
 
-    # -- features -----------------------------------------------------------
-
     def _resolved(self, instrument_id: str, descriptor: Optional[UeiDescriptor] = None) -> _Resolved:
-        ticker, kind, strike_abs, tenor_days, exercise, strike_pct, vol = self._resolve(instrument_id, descriptor)
+        """An instrument id resolved to its underlying and its base pricing state.
+
+        A universe instrument may come with its ``descriptor``, which then
+        stands for its parsed id; its options price at the strike their delta
+        quotes.  Static options quote absolute strikes and read the surface
+        at the ATM point.  Stocks and futures carry :data:`LINEAR_VOL`.
+        """
+        if descriptor is not None or is_uei_id(instrument_id):
+            d = parse_descriptor_id(instrument_id) if descriptor is None else descriptor
+            if d.underlying_pos > len(self.specs):
+                raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
+            ticker, kind, tenor_days = self.specs[d.underlying_pos - 1].ticker, d.kind, d.tenor_days
+            strike_pct, strike, exercise = d.strike_delta_pct, None, Exercise.EUROPEAN
+        else:
+            s = parse_static_id(instrument_id)
+            if s.ticker not in self.market.underlyings:
+                raise FeatureError(f"{instrument_id!r}: no market data for {s.ticker!r}")
+            ticker, kind, tenor_days = s.ticker, s.kind, s.tenor_days
+            strike_pct, strike, exercise = None, s.strike, s.exercise or Exercise.EUROPEAN
         u = self.market.underlying(ticker)
-        rate = self.market.rate_for(ticker)
+        rate = self.market.currencies[u.currency].rate
         tau = 0.0 if tenor_days is None else tenor_days / self.day_count
+        vol = LINEAR_VOL
+        if kind.is_option:
+            vol = self._vol_for(ticker, 0.50 if strike_pct is None else strike_pct, tenor_days)
+            if strike_pct is not None:
+                strike = pricing.strike_from_delta(u.spot, tau, rate, u.div_yield, vol, strike_pct, kind)
         base = PricingInputs(
             spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
-            strike=strike_abs, kind=kind, exercise=exercise,
+            strike=strike, kind=kind, exercise=exercise,
         ).pinned()
         return _Resolved(instrument_id, ticker, u, strike_pct, base)
+
+    # -- features -----------------------------------------------------------
 
     def _features(self, chunk: Sequence[_Resolved], pnl: np.ndarray, scalars: np.ndarray) -> None:
         """Fill the rows of a chunk of resolved instruments: their P&L into
@@ -342,7 +329,7 @@ class FeatureLab:
     def _nearest_strike_bucket(self, u, delta: float) -> float:
         # Static options carry absolute strikes; bucket by exposure share for the spread lookup.
         if not u.vol_spread_by_strike:
-            raise FeatureError("no option vol spreads quoted")
+            raise QuoteError("no vol spread quoted for any strike")
         share = min(abs(delta) / (0.01 * u.spot), 0.5) if u.spot else 0.5
         return min(u.vol_spread_by_strike, key=lambda k: abs(k - share))
 

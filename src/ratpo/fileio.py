@@ -151,6 +151,13 @@ def load_universe(path: PathLike) -> list[UnderlyingSpec]:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(path, f"entry {i}: {exc}") from exc
+    # build_universe checks the same for API callers, naming neither file nor ticker.
+    for i in range(1, len(specs)):
+        prev, ticker = specs[i - 1].ticker, specs[i].ticker
+        if ticker == prev:
+            raise SchemaError(path, f"entry {i}: duplicate ticker {ticker!r}")
+        if ticker < prev:
+            raise SchemaError(path, f"entry {i}: ticker {ticker!r} sorts before {prev!r}; specs must be sorted")
     return specs
 
 
@@ -290,6 +297,9 @@ def load_scenarios(path: PathLike) -> ScenarioSet:
     header = next(reader, None)
     if not header:
         raise SchemaError(path, "missing header row")
+    repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+    if repeated is not None:
+        raise SchemaError(path, f"repeated column {repeated}")
     tickers = [c[: -len("_ret")] for c in header if c.endswith("_ret")]
     currencies = [c[: -len("_rateshift")] for c in header if c.endswith("_rateshift")]
     if not tickers:

@@ -18,9 +18,6 @@ import numpy as np
 
 CANONICAL_STRIKES = (0.10, 0.25, 0.50)
 
-#: Day count used to turn tenors in days into year fractions.
-DEFAULT_DAY_COUNT = 360
-
 
 class Kind(str, Enum):
     """Payoff kind; the single-letter values define the sort order c < p < q < s."""

@@ -4,7 +4,8 @@ that ``BatchEvaluator`` computes.
 :func:`instrument_features` is the feature build as it was before pricing
 ran in batches: one pricer call per instrument, over its four bump states
 and then its scenarios.  Tests compare ``FeatureLab.build_table`` with it
-byte for byte.
+byte for byte.  It resolves an id through :func:`resolve`, which reads the
+parsed id itself and shares only ``FeatureLab._vol_for`` with the build.
 
 :func:`evaluate` is an independent scalar reference: it decodes one position
 into a merged strategy portfolio, aggregates its features leg by leg and
@@ -43,7 +44,7 @@ rather than the oracle's digit decoding.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from ratpo.features import (
     LINEAR_VOL,
     SPOT_FLOOR,
     VOL_FLOOR,
+    FeatureError,
     FeatureLab,
     FeatureTable,
     InstrumentFeatures,
@@ -60,7 +62,7 @@ from ratpo.features import (
     _naming,
     aggregate,
 )
-from ratpo.instruments import Exercise, Kind, QuoteError
+from ratpo.instruments import Exercise, Kind, QuoteError, is_uei_id, parse_descriptor_id, parse_static_id
 from ratpo.problem import BatchEvaluator, ConstraintSpec, EvalBreakdown, ProblemInstance
 from ratpo.risk import VarConfig, var_index
 from ratpo.swarm import RandomMode, RatsConfig, StopReason
@@ -76,22 +78,47 @@ def _price_one(base: pricing.PricingInputs, spot: np.ndarray, vol: np.ndarray, r
     return pricer(spot, base.strike, base.tenor_years, rate, base.div_yield, vol, base.kind is Kind.CALL)
 
 
-def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatures:
-    """Features of one instrument from one pricer call of its own."""
-    ticker, kind, strike_abs, tenor_days, exercise, strike_pct, _ = lab._resolve(instrument_id)
+def resolve(lab: FeatureLab, instrument_id: str) -> tuple[str, Optional[float], pricing.PricingInputs]:
+    """An id's ticker, its delta-quoted strike (None off the universe) and its
+    pinned base pricing state, read from the parsed id.
+
+    Universe options price at the strike their delta quotes; static options
+    quote absolute strikes and read the surface at the ATM point; stocks and
+    futures carry ``LINEAR_VOL``.
+    """
+    if is_uei_id(instrument_id):
+        d = parse_descriptor_id(instrument_id)
+        if d.underlying_pos > len(lab.specs):
+            raise FeatureError(f"{instrument_id!r}: underlying position outside universe spec")
+        ticker, kind, tenor_days = lab.specs[d.underlying_pos - 1].ticker, d.kind, d.tenor_days
+        strike_pct, strike, exercise = d.strike_delta_pct, None, Exercise.EUROPEAN
+    else:
+        s = parse_static_id(instrument_id)
+        if s.ticker not in lab.market.underlyings:
+            raise FeatureError(f"{instrument_id!r}: no market data for {s.ticker!r}")
+        ticker, kind, tenor_days = s.ticker, s.kind, s.tenor_days
+        strike_pct, strike, exercise = None, s.strike, Exercise.EUROPEAN if s.exercise is None else s.exercise
     u = lab.market.underlying(ticker)
     rate = lab.market.rate_for(ticker)
     tau = 0.0 if tenor_days is None else tenor_days / lab.day_count
-    # Only options read the surface; static ones at the ATM point.
     if not kind.is_option:
         vol = LINEAR_VOL
+    elif strike_pct is None:
+        vol = lab._vol_for(ticker, 0.50, tenor_days)
     else:
-        vol = lab._vol_for(ticker, 0.50 if strike_pct is None else strike_pct, tenor_days)
+        vol = lab._vol_for(ticker, strike_pct, tenor_days)
+        strike = pricing.strike_from_delta(u.spot, tau, rate, u.div_yield, vol, strike_pct, kind)
     base = pricing.PricingInputs(
         spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
-        strike=strike_abs, kind=kind, exercise=exercise,
+        strike=strike, kind=kind, exercise=exercise,
     ).pinned()
+    return ticker, strike_pct, base
 
+
+def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatures:
+    """Features of one instrument from one pricer call of its own."""
+    ticker, strike_pct, base = resolve(lab, instrument_id)
+    u = lab.market.underlying(ticker)
     sc = lab.scenarios
     col, ccy_col = sc.column(ticker), sc.currency_column(u.currency)
     bump_spots = base.spot * np.array([1.0, 1.0 + pricing.SPOT_SHOCK, 1.0 - pricing.SPOT_SHOCK, 1.0])
@@ -105,7 +132,7 @@ def instrument_features(lab: FeatureLab, instrument_id: str) -> InstrumentFeatur
     v0, v_up, v_dn, v_vol = map(float, values[:4])
     delta, vega, gamma = v_up - v0, v_vol - v0, v_up - 2.0 * v0 + v_dn
     try:
-        cost = lab._unit_cost(u, kind, delta, vega, strike_pct)
+        cost = lab._unit_cost(u, base.kind, delta, vega, strike_pct)
     except QuoteError as exc:
         raise _naming(ticker, exc) from None
     try:

@@ -110,6 +110,26 @@ def _drop_scenario_columns(ticker):
     return mutate
 
 
+def _append_spec(ticker):
+    """Mutation that appends a copy of universe.json's first spec under ``ticker``."""
+    def mutate(data: Path) -> None:
+        payload = json.loads((data / "universe.json").read_text())
+        payload.append({**payload[0], "ticker": ticker})
+        (data / "universe.json").write_text(json.dumps(payload))
+    return mutate
+
+
+def _repeat_scenario_columns(ticker):
+    """Mutation that writes the ticker's two columns twice, side by side, so
+    the header keeps the layout of one pair per ticker."""
+    def mutate(data: Path) -> None:
+        rows = list(csv.reader((data / "scenarios.csv").read_text().splitlines()))
+        ret = rows[0].index(f"{ticker}_ret")
+        rows = [r[:ret + 2] + r[ret:] for r in rows]
+        (data / "scenarios.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return mutate
+
+
 class TestBadInputFiles:
     """Each malformed input exits 2 with the offending file named on stderr."""
 
@@ -133,11 +153,17 @@ class TestBadInputFiles:
          ".STOXX50E"),
         (_set("market.json", "underlyings", ".STOXX50E", "vol_spread_by_strike", value={"0.10": 0.006}),
          "market.json", ".STOXX50E"),
+        (_set("market.json", "underlyings", ".GSPC", "vol_spread_by_strike", value={}), "market.json", ".GSPC"),
+        (_append_spec(".STOXX50E"), "universe.json", None),
+        (_append_spec(".FTMIB"), "universe.json", None),
+        (_repeat_scenario_columns(".FTMIB"), "scenarios.csv", None),
     ], ids=["market-underlyings-list", "market-currencies-list", "vol-strike-not-object",
             "vol-spreads-list", "tenor-float", "tenor-bool", "tenor-string", "universe-empty",
             "missing-file", "non-utf8", "malformed-id", "unknown-ticker",
             "scenarios-lack-book-ticker", "scenarios-lack-universe-ticker",
-            "book-vol-point-missing", "universe-vol-point-missing", "vol-spread-point-missing"])
+            "book-vol-point-missing", "universe-vol-point-missing", "vol-spread-point-missing",
+            "book-vol-spreads-empty", "universe-duplicate-ticker", "universe-unsorted-tickers",
+            "scenarios-repeated-column"])
     def test_exit_2_names_file(self, data_dir, configs, tmp_path, capsys, mutate, culprit, ticker):
         problem, _ = configs
         data = tmp_path / "data"

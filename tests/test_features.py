@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import simple_market, simple_scenarios, simple_specs
-from reference import add_features
+from reference import add_features, resolve
 
 from ratpo.features import FeatureError, FeatureLab, FeatureTable, InstrumentFeatures, aggregate
 from ratpo.instruments import Exercise, Kind, Portfolio, StaticInstrument
@@ -170,28 +171,18 @@ class TestAggregationOracle:
     @staticmethod
     def direct_book_pnl(legs, market, scenarios, lab):
         """Reprice every leg under every scenario straight from the pricer."""
-        day_count = lab.day_count
         out = np.zeros(scenarios.count)
         for instrument_id, notional in legs:
-            ticker, kind, strike_abs, tenor_days, exercise, strike_pct, _ = lab._resolve(instrument_id)
-            u = market.underlying(ticker)
-            rate = market.rate_for(ticker)
-            tau = 0.0 if tenor_days is None else tenor_days / day_count
-            vol = u.vol if not isinstance(u.vol, dict) else u.vol_for(strike_pct, tenor_days)
+            ticker, _, base = resolve(lab, instrument_id)
             col = scenarios.column(ticker)
-            ccy = scenarios.currency_column(u.currency)
-            base = pricing.PricingInputs(
-                spot=u.spot, vol=vol, tenor_years=tau, rate=rate, div_yield=u.div_yield,
-                strike=strike_abs, kind=kind, exercise=exercise,
-            ).pinned()
+            ccy = scenarios.currency_column(market.underlying(ticker).currency)
             v0 = pricing.price(base)
             for i in range(scenarios.count):
-                from dataclasses import replace as _replace
-                shocked = _replace(
+                shocked = replace(
                     base,
-                    spot=u.spot * (1.0 + scenarios.spot_returns[i, col]),
-                    vol=vol + scenarios.vol_shifts[i, col],
-                    rate=rate + scenarios.rate_shifts[i, ccy],
+                    spot=base.spot * (1.0 + scenarios.spot_returns[i, col]),
+                    vol=base.vol + scenarios.vol_shifts[i, col],
+                    rate=base.rate + scenarios.rate_shifts[i, ccy],
                 )
                 out[i] += notional * (pricing.price(shocked) - v0)
         return out

@@ -176,8 +176,10 @@ class TestScenarioFile:
         golden = path.read_bytes()
         loaded = load_scenarios(path)
         assert loaded.count == 250
-        assert loaded.tickers == scenarios.tickers
-        assert np.array_equal(loaded.spot_returns, scenarios.spot_returns)
+        assert (loaded.tickers, loaded.currencies) == (scenarios.tickers, scenarios.currencies)
+        for name in ("spot_returns", "vol_shifts", "rate_shifts"):
+            got, want = getattr(loaded, name), getattr(scenarios, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         save_scenarios(loaded, path)
         assert path.read_bytes() == golden
 
